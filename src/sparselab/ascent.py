@@ -14,12 +14,13 @@ triangle inequality is assumed anywhere.
 
 Because every cube of a sparse family is a contiguous run of partition
 atoms, cube sums and their transposes are products with the 0/1
-cube-by-atom incidence matrix, built once per objective.
+cube-by-atom incidence matrix, which the objective takes from the
+family's compiled geometry (see dyadic.FamilyGeometry).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,25 +34,20 @@ class CubeObjective:
     """Coefficients and geometry defining one Rayleigh quotient."""
 
     gamma: np.ndarray       # (m,) nonnegative cube coefficients
-    ranges: np.ndarray      # (m, 2) atom index ranges, one per cube
+    incidence: np.ndarray   # (m, n) 0/1 cube-by-atom incidence matrix
     sigma_atom: np.ndarray  # (n,) atom masses of sigma
     omega_atom: np.ndarray  # (n,) atom masses of omega
     e: float                # inner power on cube integrals
     t: float                # outer integrability over omega
     s: float                # denominator integrability over sigma
     outer: float = 1.0      # reported value is J ** outer
-    incidence: np.ndarray = field(init=False, repr=False)  # (m, n) 0/1 cube-atom
 
     def __post_init__(self):
-        for name in ("gamma", "sigma_atom", "omega_atom"):
+        for name in ("gamma", "incidence", "sigma_atom", "omega_atom"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "ranges", np.asarray(self.ranges, dtype=np.int64))
-        if self.ranges.shape != (len(self.gamma), 2):
-            raise ParameterError("one atom range per cube coefficient is required")
-        atom = np.arange(self.n_atoms)
-        incidence = (atom >= self.ranges[:, :1]) & (atom < self.ranges[:, 1:])
-        object.__setattr__(self, "incidence", incidence.astype(float))
+        if self.incidence.shape != (len(self.gamma), self.n_atoms):
+            raise ParameterError("one incidence row per cube coefficient is required")
 
     @property
     def n_atoms(self) -> int:

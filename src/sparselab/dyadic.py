@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ParameterError
 
 
@@ -154,11 +156,8 @@ def carleson_constant(family: SparseFamily) -> float:
     The family is eta-sparse in the certified sense whenever the returned
     value is at most 1/eta.
     """
-    worst = 0.0
-    for top in family.members:
-        total = math.fsum(q.length for q in family.members if top.encloses(q))
-        worst = max(worst, total / top.length)
-    return worst
+    geom = FamilyGeometry(family)
+    return float(np.max(geom.contains @ geom.lengths / geom.lengths))
 
 
 def packing_certified(family: SparseFamily, slack: float = 1e-12) -> bool:
@@ -230,23 +229,24 @@ class AtomPartition:
 def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
     """Partition of the family root induced by member boundaries.
 
-    The result is then uniformly refined `extra_depth` more levels.
+    A dyadic node below the root is split exactly when a member lies
+    strictly inside it, that is, when it is a strict ancestor of a member;
+    the atoms are the children of split nodes that are not split
+    themselves, or the root alone when nothing splits it. The result is
+    then uniformly refined `extra_depth` more levels.
     """
     if extra_depth < 0:
         raise ParameterError("extra_depth must be >= 0")
     root = family.root
-    members = family.members
-
-    leaves: list[DyadicInterval] = []
-
-    def descend(node: DyadicInterval) -> None:
-        if any(relate(m, node) is Relation.INSIDE for m in members):
-            for child in node.children():
-                descend(child)
-        else:
-            leaves.append(node)
-
-    descend(root)
+    split: set[tuple[int, int]] = set()
+    for m in family.members:
+        for level in range(m.level - 1, root.level - 1, -1):
+            node = (level, m.position >> (m.level - level))
+            if node in split:
+                break
+            split.add(node)
+    cells = {(lvl + 1, 2 * pos + b) for lvl, pos in split for b in (0, 1)} - split
+    leaves = [DyadicInterval(*c) for c in cells] if split else [root]
     if extra_depth:
         refined: list[DyadicInterval] = []
         for leaf in leaves:
@@ -255,6 +255,47 @@ def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
     finest = max(x.level for x in leaves)
     leaves.sort(key=lambda a: a.ticks(finest)[0])
     return AtomPartition(root, leaves)
+
+
+class FamilyGeometry:
+    """Which members nest and which atoms each member covers, computed once.
+
+    Every member is a contiguous run of partition atoms, so the (m, 2)
+    array of member atom ranges determines the rest: the 0/1
+    member-by-atom incidence matrix, and containment, because member i
+    encloses member j exactly when j's atom range lies inside i's.
+    """
+
+    def __init__(self, family: SparseFamily, part: AtomPartition | None = None):
+        self.family = family
+        self.part = atoms_of(family) if part is None else part
+        self.ranges = np.array(
+            [self.part.atom_range(q) for q in family.members], dtype=np.int64
+        )
+        lo, hi = self.ranges[:, :1], self.ranges[:, 1:]
+        atom = np.arange(len(self.part))
+        self.incidence = ((atom >= lo) & (atom < hi)).astype(float)  # (m, n)
+        self.contains = (lo <= lo.T) & (hi.T <= hi)  # [i, j]: member i encloses j
+        self.lengths = np.array([q.length for q in family.members])
+
+    def length_powers(self, exponent: float) -> np.ndarray:
+        """|Q|^exponent per member, by Python's float power.
+
+        NumPy's vectorized power can differ from it in the last bit.
+        """
+        return np.array([x**exponent for x in self.lengths.tolist()])
+
+    def masses(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """(atom masses, member masses) of a weight, each from `w.mass`."""
+        return (
+            np.array([w.mass(a) for a in self.part.atoms]),
+            np.array([w.mass(q) for q in self.family.members]),
+        )
+
+    @property
+    def candidates(self) -> np.ndarray:
+        """The member indicators and the constant function, one row each."""
+        return np.vstack([self.incidence, np.ones(len(self.part))])
 
 
 def uniform_partition(interval: DyadicInterval, depth_below: int) -> AtomPartition:

@@ -2,9 +2,14 @@
 
 The operator sends f to (sum_Q (|Q|^{-alpha} int_Q f dsigma)^r 1_Q)^{1/r}
 over the members of a sparse family. Everything is evaluated exactly on
-atom partitions; the only non-exact quantity is the ascent estimate of the
-operator norm, which is bracketed from below by the certified indicator
-bound and cross-checked on tiny instances by a sphere-grid oracle.
+atom partitions, through the family's compiled geometry (atoms, member
+atom ranges and the member-by-atom incidence matrix; see
+dyadic.FamilyGeometry), which one call builds once and shares between the
+ascent objective, the indicator bound and the candidate sweep. The only
+non-exact quantity is the ascent estimate of the operator norm, which is
+bracketed from below by the certified indicator bound and cross-checked on
+tiny instances by a sphere-grid oracle. `apply_sparse` evaluates the
+operator cube by cube and is kept as the independent reference path.
 """
 
 from __future__ import annotations
@@ -15,28 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascent import CubeObjective, maximize
-from .dyadic import AtomPartition, SparseFamily, atoms_of
+from .dyadic import AtomPartition, FamilyGeometry, SparseFamily
 from .errors import DegenerateInstanceError, ParameterError
 from .functions import StepFunction
 from .weights import ExponentConfig, Weight
-
-
-def _atom_masses(w: Weight, part: AtomPartition) -> np.ndarray:
-    return np.array([w.mass(a) for a in part.atoms])
-
-
-def _operator_values(
-    family: SparseFamily,
-    cfg: ExponentConfig,
-    ranges: list[tuple[int, int]],
-    fs: np.ndarray,
-) -> np.ndarray:
-    """Atom values of the operator from the atom integrals fs of f dsigma."""
-    acc = np.zeros(len(fs))
-    for q, (i0, i1) in zip(family.members, ranges):
-        cube_int = float(fs[i0:i1].sum())
-        acc[i0:i1] += (q.length ** (-cfg.alpha) * cube_int) ** cfg.r
-    return acc ** (1.0 / cfg.r)
 
 
 def apply_sparse(
@@ -47,21 +34,48 @@ def apply_sparse(
     f must live on a partition refining the family's atoms; the cube
     integrals int_Q f dsigma are then exact atom sums.
     """
-    part = f.partition
-    ranges = [part.atom_range(q) for q in family.members]
-    fs = f.values * _atom_masses(sigma, part)
-    return StepFunction(part, _operator_values(family, cfg, ranges, fs), nonneg=True)
-
-
-def _norm(values: np.ndarray, masses: np.ndarray, p: float) -> float:
-    return float(np.dot(np.abs(values) ** p, masses)) ** (1.0 / p)
+    geom = FamilyGeometry(family, f.partition)
+    fs = f.values * geom.masses(sigma)[0]
+    acc = np.zeros(len(fs))
+    for q, (i0, i1) in zip(family.members, geom.ranges):
+        cube_int = float(fs[i0:i1].sum())
+        acc[i0:i1] += (q.length ** (-cfg.alpha) * cube_int) ** cfg.r
+    return StepFunction(f.partition, acc ** (1.0 / cfg.r), nonneg=True)
 
 
 def lp_norm(f: StepFunction, w: Weight, p: float) -> float:
     """(sum_a |f(a)|^p w(a))^{1/p} with exact atom masses."""
     if not p > 0.0:
         raise ParameterError(f"norm exponent must be positive, got {p}")
-    return _norm(f.values, _atom_masses(w, f.partition), p)
+    masses = np.array([w.mass(a) for a in f.partition.atoms])
+    return float(np.dot(np.abs(f.values) ** p, masses)) ** (1.0 / p)
+
+
+def _objective(
+    geom: FamilyGeometry, cfg: ExponentConfig, omega: Weight, sigma: Weight
+) -> tuple[CubeObjective, np.ndarray]:
+    """The operator-norm quotient on the geometry's atoms, and sigma's member masses."""
+    sig_atom, sig_q = geom.masses(sigma)
+    obj = CubeObjective(
+        gamma=geom.length_powers(-cfg.alpha * cfg.r),
+        incidence=geom.incidence,
+        sigma_atom=sig_atom,
+        omega_atom=geom.masses(omega)[0],
+        e=cfg.r,
+        t=cfg.q / cfg.r,
+        s=cfg.p,
+        outer=1.0 / cfg.r,
+    )
+    return obj, sig_q
+
+
+def _indicator_bound(geom: FamilyGeometry, obj: CubeObjective, sig_q: np.ndarray) -> float:
+    zero = np.flatnonzero(sig_q <= 0.0)
+    if len(zero):
+        raise DegenerateInstanceError(
+            f"sigma has zero mass on member {geom.family.members[zero[0]]}"
+        )
+    return float(np.max(obj.value(geom.incidence)))
 
 
 def indicator_lower_bound(
@@ -73,28 +87,14 @@ def indicator_lower_bound(
 ) -> float:
     """Certified operator-norm lower bound from indicator test functions.
 
-    Feeds 1_Q through the full operator for every member Q and takes the
-    best Rayleigh quotient; always at least the two-weight characteristic
-    because the single-cube term already equals
-    |Q|^{-alpha} sigma(Q) * omega(Q)^{1/q} / sigma(Q)^{1/p}.
-    The operator is evaluated cube by cube as in apply_sparse, independently
-    of the ascent objective; atom masses are computed once per call.
+    Takes the best Rayleigh quotient over the member indicators 1_Q, all
+    evaluated in one batch by the ascent objective; always at least the
+    two-weight characteristic because the single-cube term already equals
+    |Q|^{-alpha} sigma(Q) * omega(Q)^{1/q} / sigma(Q)^{1/p}. The tests
+    check it against the cube-by-cube `apply_sparse` path.
     """
-    if part is None:
-        part = atoms_of(family)
-    ranges = [part.atom_range(q) for q in family.members]
-    sig = _atom_masses(sigma, part)
-    om = _atom_masses(omega, part)
-    best = 0.0
-    for q, (i0, i1) in zip(family.members, ranges):
-        if sigma.mass(q) <= 0.0:
-            raise DegenerateInstanceError(f"sigma has zero mass on member {q}")
-        ind = np.zeros(len(part))
-        ind[i0:i1] = 1.0
-        image = _operator_values(family, cfg, ranges, ind * sig)
-        ratio = _norm(image, om, cfg.q) / _norm(ind, sig, cfg.p)
-        best = max(best, ratio)
-    return best
+    geom = FamilyGeometry(family, part)
+    return _indicator_bound(geom, *_objective(geom, cfg, omega, sigma))
 
 
 def rayleigh_objective(
@@ -105,23 +105,8 @@ def rayleigh_objective(
     part: AtomPartition | None = None,
 ) -> tuple[AtomPartition, CubeObjective]:
     """The operator-norm quotient as a cube-sum objective on family atoms."""
-    if part is None:
-        part = atoms_of(family)
-    ranges = np.array([part.atom_range(q) for q in family.members])
-    gamma = np.array(
-        [q.length ** (-cfg.alpha * cfg.r) for q in family.members]
-    )
-    obj = CubeObjective(
-        gamma=gamma,
-        ranges=ranges,
-        sigma_atom=_atom_masses(sigma, part),
-        omega_atom=_atom_masses(omega, part),
-        e=cfg.r,
-        t=cfg.q / cfg.r,
-        s=cfg.p,
-        outer=1.0 / cfg.r,
-    )
-    return part, obj
+    geom = FamilyGeometry(family, part)
+    return geom.part, _objective(geom, cfg, omega, sigma)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,25 +135,21 @@ def estimate_opnorm(
     Cube indicators and the constant function are always swept as
     candidates, so the estimate never falls below the certified bound.
     """
-    part, obj = rayleigh_objective(family, cfg, omega, sigma)
-    lower = indicator_lower_bound(family, cfg, omega, sigma, part)
-    cand = np.zeros((len(family) + 1, len(part)))
-    for j, q in enumerate(family.members):
-        i0, i1 = part.atom_range(q)
-        cand[j, i0:i1] = 1.0
-    cand[-1] = 1.0
+    geom = FamilyGeometry(family)
+    obj, sig_q = _objective(geom, cfg, omega, sigma)
+    lower = _indicator_bound(geom, obj, sig_q)
     res = maximize(
         obj,
         restarts=restarts,
         max_iters=max_iters,
         tol=tol,
         seed=seed,
-        extra_candidates=cand,
+        extra_candidates=geom.candidates,
     )
     return OpNormEstimate(
         certified_lower=lower,
         ascent_value=res.value,
-        maximizer=StepFunction(part, res.maximizer, nonneg=True),
+        maximizer=StepFunction(geom.part, res.maximizer, nonneg=True),
         restarts=restarts,
         iterations=res.iterations,
         converged=res.converged,
@@ -192,10 +173,9 @@ def oracle_opnorm(
     n = len(part)
     if n > 3:
         raise ParameterError(f"oracle limited to 3 atoms, partition has {n}")
-    sig = _atom_masses(sigma, part)
-    if np.any(sig <= 0.0):
+    if np.any(obj.sigma_atom <= 0.0):
         raise DegenerateInstanceError("oracle requires positive sigma mass per atom")
-    scale = sig ** (-1.0 / cfg.p)
+    scale = obj.sigma_atom ** (-1.0 / cfg.p)
     if n == 1:
         return float(obj.value(np.ones((1, 1)) * scale)[0])
     if grid_res is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicInterval, Relation, SparseFamily, atoms_of, relate
+from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily
 from .errors import DegenerateInstanceError
 from .weights import Weight, weighted_average
 
@@ -41,47 +41,36 @@ def build_principal_cubes(
     positive mass on every member.
     """
     members = family.members
-    avg = {}
-    for q in members:
-        if sigma.mass(q) <= 0.0:
-            raise DegenerateInstanceError(f"sigma has zero mass on member {q}")
-        avg[q] = weighted_average(f, sigma, q)
+    geom = FamilyGeometry(family)
+    zero = np.flatnonzero(geom.masses(sigma)[1] <= 0.0)
+    if len(zero):
+        raise DegenerateInstanceError(f"sigma has zero mass on member {members[zero[0]]}")
+    avg = {q: weighted_average(f, sigma, q) for q in members}
+    avgs = np.array([avg[q] for q in members])
+    # inside[i, j]: member i lies strictly inside member j
+    inside = geom.contains.T & ~np.eye(len(members), dtype=bool)
 
-    maximal = [
-        q
-        for q in members
-        if not any(relate(q, other) is Relation.INSIDE for other in members)
-    ]
-    principals: list[DyadicInterval] = []
+    principals: list[int] = []
     children: dict = {}
-    stack = list(maximal)
+    stack = list(np.flatnonzero(~inside.any(axis=1)))
     while stack:
         top = stack.pop()
         principals.append(top)
-        bar = factor * avg[top]
-        hits = [
-            q
-            for q in members
-            if relate(q, top) is Relation.INSIDE and avg[q] > bar
-        ]
-        kids = tuple(
-            sorted(
-                q
-                for q in hits
-                if not any(relate(q, other) is Relation.INSIDE for other in hits)
-            )
-        )
-        children[top] = kids
+        hits = np.flatnonzero(inside[:, top] & (avgs > factor * avgs[top]))
+        kids = hits[~inside[np.ix_(hits, hits)].any(axis=1)]
+        children[members[top]] = tuple(members[i] for i in kids)
         stack.extend(kids)
     principals.sort()
 
-    parent = {}
-    for q in members:
-        containing = [p for p in principals if p.encloses(q)]
-        parent[q] = max(containing, key=lambda p: p.level)
+    # Principals enclosing a member form a chain; members are sorted by
+    # level, so the deepest of them has the largest index.
+    parent = {
+        q: members[max(i for i in principals if geom.contains[i, j])]
+        for j, q in enumerate(members)
+    }
     return StoppingFamily(
         family=family,
-        principals=tuple(principals),
+        principals=tuple(members[i] for i in principals),
         parent=parent,
         children=children,
         averages=avg,
@@ -98,26 +87,21 @@ def principal_sum_bound(
     dyadic maximal over all family members. Returns the worst atomwise
     ratio and the integrated (sigma-measure) ratio; both should be <= 1.
     """
-    family = stopping.family
-    part = atoms_of(family)
-    n = len(part)
-    lhs = np.zeros(n)
-    maxavg = np.zeros(n)
-    principal_set = set(stopping.principals)
-    for q in family.members:
-        i0, i1 = part.atom_range(q)
-        a = stopping.averages[q]
-        np.maximum(maxavg[i0:i1], a, out=maxavg[i0:i1])
-        if q in principal_set:
-            lhs[i0:i1] += a**p
+    members = stopping.family.members
+    geom = FamilyGeometry(stopping.family)
+    avgs = np.array([stopping.averages[q] for q in members])
+    chosen = set(stopping.principals)
+    is_principal = np.array([q in chosen for q in members])
+    maxavg = (geom.incidence * avgs[:, None]).max(axis=0)
+    lhs = np.where(is_principal, avgs**p, 0.0) @ geom.incidence
     rhs = maxavg**p / (1.0 - 2.0**-p)
     with np.errstate(divide="ignore", invalid="ignore"):
         pointwise = np.where(rhs > 0.0, lhs / rhs, 0.0)
-    smass = np.array([sigma.mass(atom) for atom in part.atoms])
+    smass, _ = geom.masses(sigma)
     lhs_int = float(np.dot(lhs, smass))
     rhs_int = float(np.dot(rhs, smass))
     return {
         "max_pointwise_ratio": float(pointwise.max()),
         "integrated_ratio": lhs_int / rhs_int if rhs_int > 0.0 else 0.0,
-        "atoms": n,
+        "atoms": len(geom.part),
     }

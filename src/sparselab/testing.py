@@ -16,10 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .ascent import CubeObjective, maximize
-from .dyadic import DyadicInterval, SparseFamily, atoms_of
+from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily
 from .errors import DegenerateInstanceError, ParameterError
-from .functions import StepFunction
-from .sparse import estimate_opnorm, lp_norm
+from .sparse import estimate_opnorm
 from .weights import (
     ExponentConfig,
     PiecewiseWeight,
@@ -54,46 +53,36 @@ def _report(tag, lhs, rhs, descriptor, **extras) -> ComparabilityReport:
     )
 
 
-def _family_arrays(family: SparseFamily, omega: Weight, sigma: Weight):
-    part = atoms_of(family)
-    ranges = np.array([part.atom_range(q) for q in family.members])
-    om = np.array([omega.mass(a) for a in part.atoms])
-    sig_q = np.array([sigma.mass(q) for q in family.members])
-    om_q = np.array([omega.mass(q) for q in family.members])
-    return part, ranges, om, sig_q, om_q
+def _local_norms(
+    geom: FamilyGeometry, coefs: np.ndarray, atom_masses: np.ndarray, exponent: float
+) -> np.ndarray:
+    """|| sum_{Q <= R} coefs_Q 1_Q ||_{L^exponent} on atoms, one entry per member R."""
+    local = (geom.contains * coefs) @ geom.incidence
+    return (local**exponent @ atom_masses) ** (1.0 / exponent)
 
 
-def _local_quasi_norm(
-    coefs: np.ndarray,
-    ranges: np.ndarray,
-    inside: np.ndarray,
-    atom_masses: np.ndarray,
-    exponent: float,
-) -> float:
-    """|| sum over selected cubes of coefs 1_Q ||_{L^exponent} on atoms."""
-    vals = np.zeros(len(atom_masses))
-    for j in np.nonzero(inside)[0]:
-        i0, i1 = ranges[j]
-        vals[i0:i1] += coefs[j]
-    return float(np.dot(vals**exponent, atom_masses)) ** (1.0 / exponent)
+def _positive(member_masses: np.ndarray, name: str) -> None:
+    if np.any(member_masses <= 0.0):
+        raise DegenerateInstanceError(f"{name} vanishes on a family member")
 
 
 def testing_T(
     family: SparseFamily, cfg: ExponentConfig, omega: Weight, sigma: Weight
 ) -> float:
     """sup_R sigma(R)^{-r/p} || sum_{Q<=R} |Q|^{-ar} sigma(Q)^r 1_Q ||_{L^{q/r}_omega}."""
-    part, ranges, om, sig_q, _ = _family_arrays(family, omega, sigma)
-    members = family.members
-    gam = np.array([q.length ** (-cfg.alpha * cfg.r) for q in members])
-    if np.any(sig_q <= 0.0):
-        raise DegenerateInstanceError("sigma vanishes on a family member")
-    coefs = gam * sig_q**cfg.r
-    best = 0.0
-    for j, top in enumerate(members):
-        inside = np.array([top.encloses(q) for q in members])
-        norm = _local_quasi_norm(coefs, ranges, inside, om, cfg.q / cfg.r)
-        best = max(best, sig_q[j] ** (-cfg.r / cfg.p) * norm)
-    return best
+    geom = FamilyGeometry(family)
+    return _testing_T(geom, cfg, geom.masses(omega), geom.masses(sigma))
+
+
+def _testing_T(
+    geom: FamilyGeometry, cfg: ExponentConfig, omega_masses, sigma_masses
+) -> float:
+    om_atom, _ = omega_masses
+    _, sig_q = sigma_masses
+    _positive(sig_q, "sigma")
+    coefs = geom.length_powers(-cfg.alpha * cfg.r) * sig_q**cfg.r
+    norms = _local_norms(geom, coefs, om_atom, cfg.q / cfg.r)
+    return float(np.max(sig_q ** (-cfg.r / cfg.p) * norms))
 
 
 def testing_Tstar(
@@ -106,24 +95,22 @@ def testing_Tstar(
     """
     if not cfg.p > cfg.r:
         raise ParameterError("dual testing constant is only used when p > r")
-    part, ranges, _, sig_q, om_q = _family_arrays(family, omega, sigma)
-    sig_atom = np.array([sigma.mass(a) for a in part.atoms])
-    members = family.members
-    if np.any(sig_q <= 0.0):
-        raise DegenerateInstanceError("sigma vanishes on a family member")
-    if np.any(om_q <= 0.0):
-        raise DegenerateInstanceError("omega vanishes on a family member")
-    gam = np.array([q.length ** (-cfg.alpha * cfg.r) for q in members])
-    coefs = gam * sig_q ** (cfg.r - 1.0) * om_q
+    geom = FamilyGeometry(family)
+    return _testing_Tstar(geom, cfg, geom.masses(omega), geom.masses(sigma))
+
+
+def _testing_Tstar(
+    geom: FamilyGeometry, cfg: ExponentConfig, omega_masses, sigma_masses
+) -> float:
+    _, om_q = omega_masses
+    sig_atom, sig_q = sigma_masses
+    _positive(sig_q, "sigma")
+    _positive(om_q, "omega")
+    coefs = geom.length_powers(-cfg.alpha * cfg.r) * sig_q ** (cfg.r - 1.0) * om_q
     tr = cfg.q / cfg.r
     tr_conj = tr / (tr - 1.0)
-    s_conj = cfg.outer_conj
-    best = 0.0
-    for j, top in enumerate(members):
-        inside = np.array([top.encloses(q) for q in members])
-        norm = _local_quasi_norm(coefs, ranges, inside, sig_atom, s_conj)
-        best = max(best, om_q[j] ** (-1.0 / tr_conj) * norm)
-    return best
+    norms = _local_norms(geom, coefs, sig_atom, cfg.outer_conj)
+    return float(np.max(om_q ** (-1.0 / tr_conj) * norms))
 
 
 def check_prop31(
@@ -144,9 +131,11 @@ def check_prop31(
         family, cfg, omega, sigma,
         restarts=restarts, max_iters=max_iters, tol=tol, seed=seed,
     )
-    t_val = testing_T(family, cfg, omega, sigma)
+    geom = FamilyGeometry(family)
+    masses = geom.masses(omega), geom.masses(sigma)
+    t_val = _testing_T(geom, cfg, *masses)
     if cfg.r < cfg.p:
-        rhs = t_val + testing_Tstar(family, cfg, omega, sigma)
+        rhs = t_val + _testing_Tstar(geom, cfg, *masses)
         branch = "r < p: sum of both testing constants"
     else:
         rhs = t_val
@@ -183,36 +172,31 @@ def check_lemma32(
     coefs = np.asarray(coefs, dtype=float)
     if np.any(coefs < 0.0):
         raise ParameterError("cube coefficients must be nonnegative")
-    part, ranges, om, sig_q, _ = _family_arrays(family, omega, sigma)
-    if np.any(sig_q <= 0.0):
-        raise DegenerateInstanceError("sigma vanishes on a family member")
-    sig_atom = np.array([sigma.mass(a) for a in part.atoms])
+    geom = FamilyGeometry(family)
+    om_atom, _ = geom.masses(omega)
+    sig_atom, sig_q = geom.masses(sigma)
+    _positive(sig_q, "sigma")
     desc = f"family of {len(family)}, exponents ({cfg.p}, {cfg.q}, {cfg.r})"
     if not np.any(coefs > 0.0):
         return ComparabilityReport(
             "lemma32", 0.0, 0.0, 0.0, desc, trivial=True, extras={}
         )
-    cand = np.zeros((len(family) + 1, len(part)))
-    for j in range(len(family)):
-        i0, i1 = ranges[j]
-        cand[j, i0:i1] = 1.0
-    cand[-1] = 1.0
     obj_i = CubeObjective(
-        gamma=coefs, ranges=ranges, sigma_atom=sig_atom, omega_atom=om,
+        gamma=coefs, incidence=geom.incidence, sigma_atom=sig_atom, omega_atom=om_atom,
         e=cfg.r, t=cfg.q / cfg.r, s=cfg.p, outer=1.0,
     )
     res_i = maximize(
         obj_i, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed,
-        extra_candidates=cand,
+        extra_candidates=geom.candidates,
     )
     obj_ii = CubeObjective(
-        gamma=coefs * sig_q ** (cfg.r - 1.0), ranges=ranges,
-        sigma_atom=sig_atom, omega_atom=om,
+        gamma=coefs * sig_q ** (cfg.r - 1.0), incidence=geom.incidence,
+        sigma_atom=sig_atom, omega_atom=om_atom,
         e=1.0, t=cfg.q / cfg.r, s=cfg.p / cfg.r, outer=1.0,
     )
     res_ii = maximize(
         obj_ii, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed + 1,
-        extra_candidates=cand,
+        extra_candidates=geom.candidates,
     )
     return _report(
         "lemma32",
@@ -248,26 +232,25 @@ def lsu_testing_sums(
     First: sup_R omega(R)^{-1/q'} || sum_{Q<=R} tau_Q <omega>_Q 1_Q ||_{L^{p'}_sigma}.
     Second: sup_R sigma(R)^{-1/p} || sum_{Q<=R} tau_Q <sigma>_Q 1_Q ||_{L^q_omega}.
     """
-    family = op.family
-    part, ranges, om_atom, sig_q, om_q = _family_arrays(family, omega, sigma)
-    sig_atom = np.array([sigma.mass(a) for a in part.atoms])
-    members = family.members
+    geom = FamilyGeometry(op.family)
+    return _lsu_sums(geom, op.taus, p, q, geom.masses(omega), geom.masses(sigma))
+
+
+def _lsu_sums(
+    geom: FamilyGeometry, taus: np.ndarray, p: float, q: float, omega_masses, sigma_masses
+) -> tuple[float, float]:
+    om_atom, om_q = omega_masses
+    sig_atom, sig_q = sigma_masses
     if np.any(sig_q <= 0.0) or np.any(om_q <= 0.0):
         raise DegenerateInstanceError("a weight vanishes on a family member")
-    lengths = np.array([m.length for m in members])
     p_conj = p / (p - 1.0)
     q_conj = q / (q - 1.0)
-    coef_omega = op.taus * om_q / lengths
-    coef_sigma = op.taus * sig_q / lengths
-    first = 0.0
-    second = 0.0
-    for j, top in enumerate(members):
-        inside = np.array([top.encloses(m) for m in members])
-        n1 = _local_quasi_norm(coef_omega, ranges, inside, sig_atom, p_conj)
-        first = max(first, om_q[j] ** (-1.0 / q_conj) * n1)
-        n2 = _local_quasi_norm(coef_sigma, ranges, inside, om_atom, q)
-        second = max(second, sig_q[j] ** (-1.0 / p) * n2)
-    return first, second
+    n1 = _local_norms(geom, taus * om_q / geom.lengths, sig_atom, p_conj)
+    n2 = _local_norms(geom, taus * sig_q / geom.lengths, om_atom, q)
+    return (
+        float(np.max(om_q ** (-1.0 / q_conj) * n1)),
+        float(np.max(sig_q ** (-1.0 / p) * n2)),
+    )
 
 
 def lsu_check(
@@ -285,27 +268,21 @@ def lsu_check(
     if not 1.0 < p <= q:
         raise ParameterError("norm characterization needs 1 < p <= q")
     family = op.family
-    part, ranges, om_atom, sig_q, _ = _family_arrays(family, omega, sigma)
-    sig_atom = np.array([sigma.mass(a) for a in part.atoms])
+    geom = FamilyGeometry(family)
+    masses = geom.masses(omega), geom.masses(sigma)
     desc = f"positive operator on {len(family)} cubes, (p, q)=({p}, {q})"
     if not np.any(op.taus > 0.0):
         return ComparabilityReport("lemma34", 0.0, 0.0, 0.0, desc, trivial=True)
-    lengths = np.array([m.length for m in family.members])
     obj = CubeObjective(
-        gamma=op.taus / lengths, ranges=ranges,
-        sigma_atom=sig_atom, omega_atom=om_atom,
+        gamma=op.taus / geom.lengths, incidence=geom.incidence,
+        sigma_atom=masses[1][0], omega_atom=masses[0][0],
         e=1.0, t=q, s=p, outer=1.0,
     )
-    cand = np.zeros((len(family) + 1, len(part)))
-    for j in range(len(family)):
-        i0, i1 = ranges[j]
-        cand[j, i0:i1] = 1.0
-    cand[-1] = 1.0
     res = maximize(
         obj, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed,
-        extra_candidates=cand,
+        extra_candidates=geom.candidates,
     )
-    first, second = lsu_testing_sums(op, p, q, omega, sigma)
+    first, second = _lsu_sums(geom, op.taus, p, q, *masses)
     return _report(
         "lemma34", res.value, first + second, desc, converged=res.converged
     )
@@ -330,30 +307,18 @@ def check_lemma41(
     coefs = np.asarray(coefs, dtype=float)
     if np.any(coefs < 0.0):
         raise ParameterError("coefficients must be nonnegative")
-    members = family.members
-    part = atoms_of(family)
-    sig_q = np.array([sigma.mass(q) for q in members])
-    if np.any(sig_q <= 0.0):
-        raise DegenerateInstanceError("sigma vanishes on a family member")
+    geom = FamilyGeometry(family)
+    sig_atom, sig_q = geom.masses(sigma)
+    _positive(sig_q, "sigma")
     desc = f"{len(family)} cubes, p={p}"
     if not np.any(coefs > 0.0):
         return ComparabilityReport("lemma41", 0.0, 0.0, 0.0, desc, trivial=True)
     scale = float(coefs.max())
     unit = coefs / scale
-    vals = np.zeros(len(part))
-    ranges = [part.atom_range(q) for q in members]
-    for (i0, i1), a in zip(ranges, unit):
-        vals[i0:i1] += a
-    lhs = lp_norm(StepFunction(part, vals, nonneg=True), sigma, p)
-    rhs_p = 0.0
-    for j, q_int in enumerate(members):
-        local = math.fsum(
-            unit[k] * sig_q[k]
-            for k, other in enumerate(members)
-            if q_int.encloses(other)
-        )
-        rhs_p += unit[j] * (local / sig_q[j]) ** (p - 1.0) * sig_q[j]
-    rhs = rhs_p ** (1.0 / p)
+    phi = unit @ geom.incidence
+    lhs = float(np.dot(phi**p, sig_atom)) ** (1.0 / p)
+    local = geom.contains @ (unit * sig_q)
+    rhs = float(np.dot(unit * (local / sig_q) ** (p - 1.0), sig_q)) ** (1.0 / p)
     return ComparabilityReport("lemma41", scale * lhs, scale * rhs, lhs / rhs, desc)
 
 
@@ -442,7 +407,9 @@ def verify_thm42(
     a_om = ainfty(omega, depth=depth).value
     desc = f"family of {len(family)}, exponents ({cfg.p}, {cfg.q}, {cfg.r}, {cfg.alpha})"
 
-    t_val = testing_T(family, cfg, omega, sigma)
+    geom = FamilyGeometry(family)
+    masses = geom.masses(omega), geom.masses(sigma)
+    t_val = _testing_T(geom, cfg, *masses)
     diag = cfg.p == cfg.q and cfg.alpha < 1.0
     if diag and cfg.p > cfg.r:
         w = (1.0 - cfg.r / cfg.p) ** 2
@@ -455,7 +422,7 @@ def verify_thm42(
 
     rep_tstar = None
     if cfg.p > cfg.r:
-        tstar = testing_Tstar(family, cfg, omega, sigma)
+        tstar = _testing_Tstar(geom, cfg, *masses)
         if diag:
             w = (cfg.r / cfg.p) ** 2
             rhs_s = char**cfg.r * a_om ** (1.0 - w) * a_sig**w
