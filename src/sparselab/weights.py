@@ -37,16 +37,28 @@ class PowerWeight:
             raise ParameterError("power weight coefficient must be positive")
 
     def mass(self, interval: DyadicInterval) -> float:
+        # For m = position > 0, right^e - left^e = left^e * expm1(e * log1p(1/m))
+        # avoids the cancellation of the plain difference at deep levels. The
+        # plain difference is exact for e = 1 (dyadic endpoints) and for m = 0.
         e = self.beta + 1.0
-        return self.coeff * (interval.right**e - interval.left**e) / e
+        m = interval.position
+        if m == 0 or e == 1.0:
+            diff = interval.right**e - interval.left**e
+        else:
+            diff = interval.left**e * math.expm1(e * math.log1p(1.0 / m))
+        return self.coeff * diff / e
 
     def grid_masses(self, base: DyadicInterval, levels_down: int) -> np.ndarray:
         """Masses of the 2^levels_down descendants of base, left to right."""
         lvl = base.level + levels_down
-        pos = (base.position << levels_down) + np.arange((1 << levels_down) + 1)
-        edges = np.ldexp(pos.astype(float), -lvl)
+        pos = (base.position << levels_down) + np.arange(1 << levels_down)
+        left = np.ldexp(pos.astype(float), -lvl)
+        right = np.ldexp((pos + 1).astype(float), -lvl)
         e = self.beta + 1.0
-        return self.coeff * np.diff(edges**e) / e
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diff = left**e * np.expm1(e * np.log1p(1.0 / pos))
+        diff = np.where((pos == 0) | (e == 1.0), right**e - left**e, diff)
+        return self.coeff * diff / e
 
     def pow(self, exponent: float) -> "PowerWeight":
         return PowerWeight(self.beta * exponent, self.coeff**exponent)
@@ -77,14 +89,13 @@ class PiecewiseWeight:
             raise ParameterError("weight densities must be nonnegative")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        prefix = np.concatenate(([0.0], np.cumsum(vals)))
-        prefix.setflags(write=False)
-        object.__setattr__(self, "_prefix", prefix)
+        object.__setattr__(self, "_cells", vals.tolist())
 
     def mass(self, interval: DyadicInterval) -> float:
+        # a correctly rounded sum of the covered cells, not a prefix-sum difference
         if interval.level <= self.depth:
             lo, hi = interval.ticks(self.depth)
-            return (self._prefix[hi] - self._prefix[lo]) * math.ldexp(1.0, -self.depth)
+            return math.fsum(self._cells[lo:hi]) * math.ldexp(1.0, -self.depth)
         cell = interval.position >> (interval.level - self.depth)
         return float(self.values[cell]) * interval.length
 
@@ -94,8 +105,8 @@ class PiecewiseWeight:
         first = base.position << levels_down
         if lvl <= self.depth:
             shift = self.depth - lvl
-            ticks = (np.arange(n + 1) + first) << shift
-            return np.diff(self._prefix[ticks]) * math.ldexp(1.0, -self.depth)
+            cells = self.values[first << shift : (first + n) << shift]
+            return np.add.reduceat(cells, np.arange(n) << shift) * math.ldexp(1.0, -self.depth)
         cells = (np.arange(n) + first) >> (lvl - self.depth)
         return self.values[cells] * math.ldexp(1.0, -lvl)
 

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,15 +13,18 @@ from sparselab import (
     DegenerateInstanceError,
     DyadicInterval,
     ExponentConfig,
+    MeasureEstimateQuery,
     ParameterError,
     PiecewiseWeight,
     PowerWeight,
     ainfty,
     average,
     chain_family,
+    check_lemma43,
     classical_ap,
     dyadic_maximal,
     feasibility,
+    make_instance,
     one_weight_apq,
     two_weight_char,
     weighted_average,
@@ -89,6 +94,54 @@ def test_power_mass_additive(beta, level):
     assert math.isclose(
         w.mass(q), w.mass(kids[0]) + w.mass(kids[1]), rel_tol=1e-12
     )
+
+
+def test_piecewise_cell_masses_exact():
+    # one cell is its density times the cell length, with no prefix-sum
+    # difference in between
+    for seed in range(20):
+        vals = 10.0 ** np.random.default_rng(seed).uniform(-2.0, 2.0, 64)
+        w = PiecewiseWeight(6, vals)
+        for i in range(64):
+            assert w.mass(DyadicInterval(6, i)) == vals[i] * 2.0**-6
+        assert np.array_equal(w.grid_masses(ROOT, 6), vals * 2.0**-6)
+
+
+def test_lemma43_sum_matches_exact_masses():
+    # top [53/64, 54/64): the prefix-sum mass missed the exact sum by 2.1e-12
+    inst = make_instance("lemma43", 34, 75)
+    query, top = inst.extras["query"], inst.extras["top"]
+    assert top == DyadicInterval(6, 53)
+
+    def exact_mass(w, iv):
+        lo, hi = iv.ticks(6)
+        return float(sum(Fraction(v) for v in w.values[lo:hi].tolist()) / 64)
+
+    expected = math.fsum(
+        q.length**query.a
+        * exact_mass(inst.sigma, q) ** query.b
+        * exact_mass(inst.omega, q) ** query.c
+        for q in inst.family.members
+        if top.encloses(q)
+    )
+    rep = check_lemma43(inst.family, inst.omega, inst.sigma, query, top)
+    assert rep.lhs == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("level", [20, 30, 40])
+def test_power_mass_deep_right_end(level):
+    # right^e - left^e cancels next to x = 1; compare with 60-digit arithmetic
+    beta = -0.9
+    iv = DyadicInterval(level, 2**level - 1)
+    with mpmath.workdps(60):
+        e = mpmath.mpf(beta) + 1
+        left = mpmath.mpf(iv.position) / mpmath.mpf(2) ** level
+        right = mpmath.mpf(iv.position + 1) / mpmath.mpf(2) ** level
+        exact = (right**e - left**e) / e
+        w = PowerWeight(beta)
+        assert float(abs(w.mass(iv) - exact) / exact) < 1e-13
+        grid = w.grid_masses(DyadicInterval(level - 2, iv.position >> 2), 2)
+        assert float(abs(grid[-1] - exact) / exact) < 1e-13
 
 
 def test_pow_and_scaled():
