@@ -248,6 +248,18 @@ def _resolve_depth(args, inst: ParsedInstance) -> int:
     return _default_depth(inst.family, inst.omega, inst.sigma)
 
 
+def _solver_options(args, inst: ParsedInstance) -> dict:
+    """Ascent options from the instance file; --seed, when given, wins."""
+    opts = inst.options
+    seed = args.seed if args.seed is not None else opts.get("seed", 0)
+    return {
+        "restarts": int(opts.get("restarts", 16)),
+        "max_iters": int(opts.get("max_iters", 5000)),
+        "tol": float(opts.get("tol", 1e-8)),
+        "seed": int(seed),
+    }
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -310,16 +322,8 @@ def cmd_char(args) -> int:
 def cmd_opnorm(args) -> int:
     start = time.perf_counter()
     inst = load_instance(args.instance)
-    opts = inst.options
     est = estimate_opnorm(
-        inst.family,
-        inst.cfg,
-        inst.omega,
-        inst.sigma,
-        restarts=int(opts.get("restarts", 16)),
-        max_iters=int(opts.get("max_iters", 5000)),
-        tol=float(opts.get("tol", 1e-8)),
-        seed=int(opts.get("seed", args.seed or 0)),
+        inst.family, inst.cfg, inst.omega, inst.sigma, **_solver_options(args, inst)
     )
     depth = _resolve_depth(args, inst)
     char = two_weight_char(inst.omega, inst.sigma, inst.cfg, inst.family).value
@@ -375,11 +379,7 @@ def cmd_testing(args) -> int:
         tstar = None
         tstar_note = "dual testing constant undefined for p <= r"
     rep = check_prop31(
-        inst.family,
-        cfg,
-        inst.omega,
-        inst.sigma,
-        seed=int(inst.options.get("seed", args.seed or 0)),
+        inst.family, cfg, inst.omega, inst.sigma, **_solver_options(args, inst)
     )
     values = {
         "testing_T": t_val,

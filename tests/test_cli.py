@@ -71,6 +71,27 @@ def test_opnorm_sandwich_and_determinism(tmp_path, capsys):
     assert (out_a / "opnorm_inst.csv").read_bytes() == (out_b / "opnorm_inst.csv").read_bytes()
 
 
+class _Received(Exception):
+    """Raised by a stand-in solver once it has recorded its arguments."""
+
+
+@pytest.mark.parametrize("command,solver", [("opnorm", "estimate_opnorm"), ("testing", "check_prop31")])
+@pytest.mark.parametrize("argv_seed,seed", [(["--seed", "99"], 99), ([], 3)])
+def test_solver_options_reach_the_solver(tmp_path, monkeypatch, command, solver, argv_seed, seed):
+    # --seed wins over options.seed; the other options come from the file
+    received = {}
+
+    def stand_in(*args, **kwargs):
+        received.update(kwargs)
+        raise _Received
+
+    monkeypatch.setattr(f"sparselab.cli.{solver}", stand_in)
+    inst = write_instance(tmp_path, CHAIN_INSTANCE)
+    with pytest.raises(_Received):
+        main([command, "--instance", inst, "--out", str(tmp_path), *argv_seed])
+    assert received == {"restarts": 4, "max_iters": 5000, "tol": 1e-8, "seed": seed}
+
+
 def test_out_env_override(tmp_path, capsys, monkeypatch):
     inst = write_instance(tmp_path, CHAIN_INSTANCE)
     env_dir = tmp_path / "env_dir"
