@@ -281,7 +281,9 @@ class FamilyGeometry:
     def length_powers(self, exponent: float) -> np.ndarray:
         """|Q|^exponent per member, by Python's float power.
 
-        NumPy's vectorized power can differ from it in the last bit.
+        NumPy's vectorized power can round differently in the last bit;
+        the scalar power keeps the cube coefficients, and with them the
+        ascent, bitwise reproducible.
         """
         return np.array([x**exponent for x in self.lengths.tolist()])
 

@@ -41,12 +41,13 @@ def build_principal_cubes(
     positive mass on every member.
     """
     members = family.members
-    geom = FamilyGeometry(family)
-    zero = np.flatnonzero(geom.masses(sigma)[1] <= 0.0)
-    if len(zero):
-        raise DegenerateInstanceError(f"sigma has zero mass on member {members[zero[0]]}")
-    avg = {q: weighted_average(f, sigma, q) for q in members}
+    avg = {}
+    for q in members:
+        if sigma.mass(q) <= 0.0:
+            raise DegenerateInstanceError(f"sigma has zero mass on member {q}")
+        avg[q] = weighted_average(f, sigma, q)
     avgs = np.array([avg[q] for q in members])
+    geom = FamilyGeometry(family)
     # inside[i, j]: member i lies strictly inside member j
     inside = geom.contains.T & ~np.eye(len(members), dtype=bool)
 
@@ -64,10 +65,9 @@ def build_principal_cubes(
 
     # Principals enclosing a member form a chain; members are sorted by
     # level, so the deepest of them has the largest index.
-    parent = {
-        q: members[max(i for i in principals if geom.contains[i, j])]
-        for j, q in enumerate(members)
-    }
+    chosen = np.array(principals)
+    deepest = np.where(geom.contains[chosen], chosen[:, None], -1).max(axis=0)
+    parent = {q: members[i] for q, i in zip(members, deepest)}
     return StoppingFamily(
         family=family,
         principals=tuple(members[i] for i in principals),

@@ -3,8 +3,9 @@
 Every quantity that now reads nesting or atom coverage from
 FamilyGeometry is recomputed here the direct way: containment from
 `encloses`, coverage from `atom_range`, the testing sums from loops over
-the enclosed members, and the indicator bound from the cube-by-cube
-`apply_sparse` operator. The instances come from four suites, so the
+the enclosed members, the indicator bound from the cube-by-cube
+`apply_sparse` operator, and the principal cubes from the stopping rule
+applied with `encloses`. The instances come from the suites, so the
 families are the random depth-6 subtrees the suites run on.
 """
 
@@ -19,12 +20,14 @@ from sparselab import (
     StepFunction,
     apply_sparse,
     atoms_of,
+    build_principal_cubes,
     carleson_constant,
     check_lemma41,
     indicator_lower_bound,
     lp_norm,
     lsu_testing_sums,
     make_instance,
+    weighted_average,
 )
 from sparselab import testing_T as _testing_T
 from sparselab import testing_Tstar as _testing_Tstar
@@ -165,3 +168,31 @@ def test_indicator_bound_matches_operator_loop():
             best = max(best, lp_norm(image, inst.omega, cfg.q) / lp_norm(f, inst.sigma, cfg.p))
         got = indicator_lower_bound(family, cfg, inst.omega, inst.sigma)
         assert got == pytest.approx(best, rel=1e-12)
+
+
+def _strictly_inside(q, other):
+    return q != other and other.encloses(q)
+
+
+def test_principal_cubes_match_encloses_loops():
+    for inst in _instances("principal"):
+        family, f, sigma = inst.family, inst.extras["f"], inst.sigma
+        members = family.members
+        avg = {q: weighted_average(f, sigma, q) for q in members}
+        stack = [q for q in members if not any(_strictly_inside(q, o) for o in members)]
+        principals, children = [], {}
+        while stack:
+            top = stack.pop()
+            principals.append(top)
+            hits = [q for q in members if _strictly_inside(q, top) and avg[q] > 2.0 * avg[top]]
+            kids = tuple(q for q in hits if not any(_strictly_inside(q, o) for o in hits))
+            children[top] = kids
+            stack.extend(kids)
+        parent = {
+            q: max((p for p in principals if p.encloses(q)), key=lambda p: p.level)
+            for q in members
+        }
+        got = build_principal_cubes(family, f, sigma)
+        assert got.principals == tuple(sorted(principals))
+        assert got.children == children
+        assert got.parent == parent
