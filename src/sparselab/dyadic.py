@@ -156,8 +156,16 @@ def carleson_constant(family: SparseFamily) -> float:
     The family is eta-sparse in the certified sense whenever the returned
     value is at most 1/eta.
     """
-    geom = FamilyGeometry(family)
-    return float(np.max(geom.contains @ geom.lengths / geom.lengths))
+    lengths = np.array([q.length for q in family.members])
+    return float(np.max(_containment(family.members) @ lengths / lengths))
+
+
+def _containment(members) -> np.ndarray:
+    """Boolean matrix whose [i, j] entry says member i encloses member j."""
+    level = np.array([q.level for q in members])
+    pos = np.array([q.position for q in members])
+    down = level - level[:, None]  # [i, j]: levels from member i down to member j
+    return (down >= 0) & (pos >> np.maximum(down, 0) == pos[:, None])
 
 
 def packing_certified(family: SparseFamily, slack: float = 1e-12) -> bool:
@@ -261,9 +269,9 @@ class FamilyGeometry:
     """Which members nest and which atoms each member covers, computed once.
 
     Every member is a contiguous run of partition atoms, so the (m, 2)
-    array of member atom ranges determines the rest: the 0/1
-    member-by-atom incidence matrix, and containment, because member i
-    encloses member j exactly when j's atom range lies inside i's.
+    array of member atom ranges gives the 0/1 member-by-atom incidence
+    matrix. Containment comes from member levels and positions, the same
+    matrix `carleson_constant` uses without building a partition.
     """
 
     def __init__(self, family: SparseFamily, part: AtomPartition | None = None):
@@ -275,7 +283,7 @@ class FamilyGeometry:
         lo, hi = self.ranges[:, :1], self.ranges[:, 1:]
         atom = np.arange(len(self.part))
         self.incidence = ((atom >= lo) & (atom < hi)).astype(float)  # (m, n)
-        self.contains = (lo <= lo.T) & (hi.T <= hi)  # [i, j]: member i encloses j
+        self.contains = _containment(family.members)  # [i, j]: member i encloses j
         self.lengths = np.array([q.length for q in family.members])
 
     def length_powers(self, exponent: float) -> np.ndarray:

@@ -89,13 +89,12 @@ class PiecewiseWeight:
             raise ParameterError("weight densities must be nonnegative")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_cells", vals.tolist())
 
     def mass(self, interval: DyadicInterval) -> float:
         # a correctly rounded sum of the covered cells, not a prefix-sum difference
         if interval.level <= self.depth:
             lo, hi = interval.ticks(self.depth)
-            return math.fsum(self._cells[lo:hi]) * math.ldexp(1.0, -self.depth)
+            return math.fsum(self.values[lo:hi].tolist()) * math.ldexp(1.0, -self.depth)
         cell = interval.position >> (interval.level - self.depth)
         return float(self.values[cell]) * interval.length
 
