@@ -13,7 +13,6 @@ from sparselab import (
     DegenerateInstanceError,
     DyadicInterval,
     ExponentConfig,
-    MeasureEstimateQuery,
     ParameterError,
     PiecewiseWeight,
     PowerWeight,
