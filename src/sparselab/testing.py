@@ -269,20 +269,20 @@ def lsu_check(
         raise ParameterError("norm characterization needs 1 < p <= q")
     family = op.family
     geom = FamilyGeometry(family)
-    masses = geom.masses(omega), geom.masses(sigma)
+    om, sig = geom.masses(omega), geom.masses(sigma)
     desc = f"positive operator on {len(family)} cubes, (p, q)=({p}, {q})"
     if not np.any(op.taus > 0.0):
         return ComparabilityReport("lemma34", 0.0, 0.0, 0.0, desc, trivial=True)
     obj = CubeObjective(
         gamma=op.taus / geom.lengths, incidence=geom.incidence,
-        sigma_atom=masses[1][0], omega_atom=masses[0][0],
+        sigma_atom=sig[0], omega_atom=om[0],
         e=1.0, t=q, s=p, outer=1.0,
     )
     res = maximize(
         obj, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed,
         extra_candidates=geom.candidates,
     )
-    first, second = _lsu_sums(geom, op.taus, p, q, *masses)
+    first, second = _lsu_sums(geom, op.taus, p, q, om, sig)
     return _report(
         "lemma34", res.value, first + second, desc, converged=res.converged
     )
