@@ -187,15 +187,19 @@ def load_instance(path: str) -> ParsedInstance:
 # ---------------------------------------------------------------- report IO
 
 
-def _round12(obj):
+def _round12(obj, non_finite: list, key: str = ""):
+    """obj with floats rounded to 12 digits; non-finite ones become None, their keys go to non_finite."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return float(f"{obj:.12g}") if math.isfinite(obj) else obj
+        if math.isfinite(obj):
+            return float(f"{obj:.12g}")
+        non_finite.append(key)
+        return None
     if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
+        return {k: _round12(v, non_finite, f"{key}.{k}" if key else k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
+        return [_round12(v, non_finite, f"{key}[{i}]") for i, v in enumerate(obj)]
     return obj
 
 
@@ -226,9 +230,14 @@ def _write_csv(path: Path, note: str, digest: str, header: str, rows) -> None:
 
 
 def _emit(report: dict, elapsed: float) -> None:
+    """Print the report as strict JSON; infinities and NaNs become null, listed under non_finite."""
     report = dict(report)
     report["elapsed_seconds"] = round(elapsed, 3)
-    print(json.dumps(_round12(report), indent=2, sort_keys=True))
+    non_finite: list = []
+    report = _round12(report, non_finite)
+    if non_finite:
+        report["non_finite"] = non_finite
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _char_report(rep) -> dict:
@@ -339,6 +348,7 @@ def cmd_opnorm(args) -> int:
         "ratio_lower_over_estimate": est.certified_lower / est.ascent_value,
         "ratio_estimate_over_rhs": est.ascent_value / rhs,
         "converged": est.converged,
+        "residual": est.residual,
         "iterations": est.iterations,
         "depth": depth,
     }
@@ -532,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory for CSV artifacts")
         if instance:
             sp.add_argument("--instance", required=True, help="instance JSON file")
-            sp.add_argument("--seed", type=int, default=None, help="ascent seed override")
+            sp.add_argument("--seed", type=int, default=None, help="solver seed override")
             sp.add_argument("--depth", type=int, default=None, help="dyadic scan depth")
 
     sp = sub.add_parser("char", help="weight characteristics and exponent feasibility")

@@ -291,7 +291,7 @@ class FamilyGeometry:
 
         NumPy's vectorized power can round differently in the last bit;
         the scalar power keeps the cube coefficients, and with them the
-        ascent, bitwise reproducible.
+        solver, bitwise reproducible.
         """
         return np.array([x**exponent for x in self.lengths.tolist()])
 

@@ -5,11 +5,12 @@ over the members of a sparse family. Everything is evaluated exactly on
 atom partitions, through the family's compiled geometry (atoms, member
 atom ranges and the member-by-atom incidence matrix; see
 dyadic.FamilyGeometry), which one call builds once and shares between the
-ascent objective, the indicator bound and the candidate sweep. The only
-non-exact quantity is the ascent estimate of the operator norm, which is
-bracketed from below by the certified indicator bound and cross-checked on
-tiny instances by a sphere-grid oracle. `apply_sparse` evaluates the
-operator cube by cube and is kept as the independent reference path.
+solver objective, the indicator bound and the candidate sweep. The only
+non-exact quantity is the fixed-point estimate of the operator norm, which
+carries a stationarity residual, is bracketed from below by the certified
+indicator bound and is cross-checked against the spectral norm at
+p = q = 2, r = 1 and on tiny instances by a sphere-grid oracle.
+`apply_sparse` evaluates the operator cube by cube (the reference path).
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def indicator_lower_bound(
     """Certified operator-norm lower bound from indicator test functions.
 
     Takes the best Rayleigh quotient over the member indicators 1_Q, all
-    evaluated in one batch by the ascent objective; always at least the
+    evaluated in one batch by the solver objective; always at least the
     two-weight characteristic because the single-cube term already equals
     |Q|^{-alpha} sigma(Q) * omega(Q)^{1/q} / sigma(Q)^{1/p}. The tests
     check it against the cube-by-cube `apply_sparse` path.
@@ -117,6 +118,7 @@ class OpNormEstimate:
     restarts: int
     iterations: int
     converged: bool
+    residual: float
     seed: int
 
 
@@ -130,30 +132,32 @@ def estimate_opnorm(
     tol: float = 1e-8,
     seed: int = 0,
 ) -> OpNormEstimate:
-    """Multi-start log-parametrized ascent on the operator-norm quotient.
+    """Multi-start fixed-point solve of the operator-norm quotient (ascent.maximize).
 
-    Cube indicators and the constant function are always swept as
-    candidates, so the estimate never falls below the certified bound.
+    Reports the stationarity residual of the restart endpoints. Cube
+    indicators and the constant function are always swept as candidates,
+    so the estimate never falls below the certified bound.
     """
-    geom = FamilyGeometry(family)
+    opts = dict(restarts=restarts, max_iters=max_iters, tol=tol, seed=seed)
+    return _estimate(FamilyGeometry(family), cfg, omega, sigma, **opts)
+
+
+def _estimate(
+    geom: FamilyGeometry, cfg: ExponentConfig, omega: Weight, sigma: Weight, **opts
+) -> OpNormEstimate:
+    """estimate_opnorm on an already built geometry."""
     obj, sig_q = _objective(geom, cfg, omega, sigma)
     lower = _indicator_bound(geom, obj, sig_q)
-    res = maximize(
-        obj,
-        restarts=restarts,
-        max_iters=max_iters,
-        tol=tol,
-        seed=seed,
-        extra_candidates=geom.candidates,
-    )
+    res = maximize(obj, extra_candidates=geom.candidates, **opts)
     return OpNormEstimate(
         certified_lower=lower,
         ascent_value=res.value,
         maximizer=StepFunction(geom.part, res.maximizer, nonneg=True),
-        restarts=restarts,
+        restarts=opts["restarts"],
         iterations=res.iterations,
         converged=res.converged,
-        seed=seed,
+        residual=res.residual,
+        seed=opts["seed"],
     )
 
 

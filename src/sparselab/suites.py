@@ -144,7 +144,7 @@ def _rows_thm11(inst: RandomInstance, failures):
         )
     if est.ascent_value < est.certified_lower * (1.0 - SANDWICH_TOL):
         failures.append(
-            f"instance {inst.index}: ascent value fell below the certified bound"
+            f"instance {inst.index}: estimate fell below the certified bound"
         )
     depth = _default_depth(inst.family, inst.omega, inst.sigma)
     rhs = theorem_rhs(

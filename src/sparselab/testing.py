@@ -2,7 +2,7 @@
 
 The local testing constants bound the operator norm from above up to
 dimensional constants; every comparability statement in scope is realized
-here as an exact or ascent-based ratio of two computable sides. Implied
+here as an exact or solver-based ratio of two computable sides. Implied
 constants are treated as empirical: suites record ratio windows which are
 frozen as regression baselines (see the baselines module).
 """
@@ -18,7 +18,7 @@ import numpy as np
 from .ascent import CubeObjective, maximize
 from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily
 from .errors import DegenerateInstanceError, ParameterError
-from .sparse import estimate_opnorm
+from .sparse import _estimate
 from .weights import (
     ExponentConfig,
     PiecewiseWeight,
@@ -127,11 +127,11 @@ def check_prop31(
 
     lhs = estimate^r; rhs = T + T* when r < p, T alone when r >= p.
     """
-    est = estimate_opnorm(
-        family, cfg, omega, sigma,
+    geom = FamilyGeometry(family)
+    est = _estimate(
+        geom, cfg, omega, sigma,
         restarts=restarts, max_iters=max_iters, tol=tol, seed=seed,
     )
-    geom = FamilyGeometry(family)
     masses = geom.masses(omega), geom.masses(sigma)
     t_val = _testing_T(geom, cfg, *masses)
     if cfg.r < cfg.p:
@@ -147,6 +147,7 @@ def check_prop31(
         f"family of {len(family)}, exponents ({cfg.p}, {cfg.q}, {cfg.r}, {cfg.alpha})",
         branch=branch,
         converged=est.converged,
+        residual=est.residual,
     )
 
 
@@ -185,25 +186,21 @@ def check_lemma32(
         gamma=coefs, incidence=geom.incidence, sigma_atom=sig_atom, omega_atom=om_atom,
         e=cfg.r, t=cfg.q / cfg.r, s=cfg.p, outer=1.0,
     )
-    res_i = maximize(
-        obj_i, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed,
-        extra_candidates=geom.candidates,
-    )
     obj_ii = CubeObjective(
         gamma=coefs * sig_q ** (cfg.r - 1.0), incidence=geom.incidence,
         sigma_atom=sig_atom, omega_atom=om_atom,
         e=1.0, t=cfg.q / cfg.r, s=cfg.p / cfg.r, outer=1.0,
     )
-    res_ii = maximize(
-        obj_ii, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed + 1,
-        extra_candidates=geom.candidates,
-    )
+    opts = dict(restarts=restarts, max_iters=max_iters, tol=tol, extra_candidates=geom.candidates)
+    res_i = maximize(obj_i, seed=seed, **opts)
+    res_ii = maximize(obj_ii, seed=seed + 1, **opts)
     return _report(
         "lemma32",
         res_i.value,
         res_ii.value,
         desc,
         converged=res_i.converged and res_ii.converged,
+        residual=max(res_i.residual, res_ii.residual),
     )
 
 
@@ -284,7 +281,8 @@ def lsu_check(
     )
     first, second = _lsu_sums(geom, op.taus, p, q, om, sig)
     return _report(
-        "lemma34", res.value, first + second, desc, converged=res.converged
+        "lemma34", res.value, first + second, desc,
+        converged=res.converged, residual=res.residual,
     )
 
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sparselab.cli import main
+from sparselab.cli import _emit, main
 
 CHAIN_INSTANCE = {
     "exponents": {"p": 2, "q": 2, "r": 1, "alpha": 1},
@@ -64,6 +64,7 @@ def test_opnorm_sandwich_and_determinism(tmp_path, capsys):
     assert vals["certified_lower"] <= vals["estimate"] * (1 + 1e-12)
     assert vals["estimate"] <= vals["theorem_rhs"]
     assert vals["rhs_branch"] == "generic"
+    assert vals["converged"] and vals["residual"] <= 1e-8
     for rep in (rep_a, rep_b):
         rep.pop("elapsed_seconds")
         rep.pop("csv")
@@ -256,3 +257,20 @@ def test_report_floats_are_12_digit_stable(tmp_path, capsys):
                 check(v)
 
     check(report)
+
+
+def test_emit_writes_strict_json(capsys):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    _emit({"values": {"a": math.inf, "b": math.nan, "c": 1.5, "d": [2.0, -math.inf]}}, 0.0)
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert report["values"] == {"a": None, "b": None, "c": 1.5, "d": [2.0, None]}
+    assert report["non_finite"] == ["values.a", "values.b", "values.d[1]"]
+
+
+def test_emit_finite_report_has_no_note(capsys):
+    _emit({"value": 0.1 + 0.2}, 0.0)
+    report = json.loads(capsys.readouterr().out)
+    assert report["value"] == 0.3
+    assert "non_finite" not in report

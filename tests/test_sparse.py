@@ -26,8 +26,10 @@ from sparselab import (
     DegenerateInstanceError,
     DyadicInterval,
     ExponentConfig,
+    FamilyGeometry,
     ParameterError,
     PiecewiseWeight,
+    PositiveDyadicOperator,
     PowerWeight,
     SparseFamily,
     StepFunction,
@@ -37,6 +39,7 @@ from sparselab import (
     estimate_opnorm,
     indicator_lower_bound,
     lp_norm,
+    lsu_check,
     make_instance,
     maximize,
     oracle_opnorm,
@@ -135,7 +138,7 @@ def test_estimate_against_grid_oracle(family, cfg, omega, sigma):
     oracle = oracle_opnorm(family, cfg, omega, sigma)
     est = estimate_opnorm(family, cfg, omega, sigma, restarts=8, seed=2)
     # both sides are feasible-point lower bounds of the true norm, so they
-    # agree only up to grid resolution and ascent tolerance
+    # agree only up to grid resolution and solver tolerance
     assert est.ascent_value == pytest.approx(oracle, rel=1e-4)
     assert est.ascent_value >= oracle * (1.0 - 1e-6)
 
@@ -273,3 +276,61 @@ def test_maximize_never_below_candidates():
     res = maximize(obj, restarts=2, max_iters=50, seed=0, extra_candidates=cand)
     floor = float(np.max(obj.value(cand)))
     assert res.value >= floor * (1.0 - 1e-15)
+    only = maximize(obj, restarts=0, extra_candidates=cand)
+    assert only.value == floor and only.from_candidate and only.converged
+
+
+def _spectral_norm(family, gamma, omega, sigma):
+    """|| diag(sqrt omega) M^T diag(gamma) M diag(sqrt sigma) ||_2 on the family's atoms.
+
+    The L^2(sigma) -> L^2(omega) norm of f -> sum_Q gamma_Q (int_Q f dsigma) 1_Q.
+    """
+    geom = FamilyGeometry(family)
+    m = geom.incidence
+    kernel = m.T @ (gamma[:, None] * m)
+    sig, om = geom.masses(sigma)[0], geom.masses(omega)[0]
+    return np.linalg.norm(np.sqrt(om)[:, None] * kernel * np.sqrt(sig)[None, :], 2)
+
+
+def test_thm11_linear_rows_match_spectral_norm():
+    rows = 0
+    for i in range(60):
+        inst = make_instance("thm11", 7, i)
+        cfg = inst.cfg
+        if (cfg.p, cfg.q, cfg.r) != (2.0, 2.0, 1.0):
+            continue
+        gamma = FamilyGeometry(inst.family).lengths ** -cfg.alpha
+        exact = _spectral_norm(inst.family, gamma, inst.omega, inst.sigma)
+        est = estimate_opnorm(inst.family, cfg, inst.omega, inst.sigma, seed=i)
+        assert est.ascent_value == pytest.approx(exact, rel=1e-9), f"instance {i}"
+        rows += 1
+    assert rows == 20
+
+
+def test_lemma34_linear_rows_match_spectral_norm():
+    rows = 0
+    for i in range(60):
+        inst = make_instance("lemma34", 7, i)
+        p, q, taus = inst.extras["p"], inst.extras["q"], inst.extras["taus"]
+        if (p, q) != (2.0, 2.0):
+            continue
+        gamma = taus / FamilyGeometry(inst.family).lengths
+        exact = _spectral_norm(inst.family, gamma, inst.omega, inst.sigma)
+        op = PositiveDyadicOperator(inst.family, taus)
+        rep = lsu_check(op, p, q, inst.omega, inst.sigma, seed=i)
+        assert rep.lhs == pytest.approx(exact, rel=1e-9), f"instance {i}"
+        rows += 1
+    assert rows > 0
+
+
+def test_estimate_certificate_residual():
+    # the converged flag follows the stationarity residual, not the iteration count
+    inst = make_instance("thm11", 7, 9)
+    args = (inst.family, inst.cfg, inst.omega, inst.sigma)
+    est = estimate_opnorm(*args, seed=9)
+    assert est.converged
+    assert est.residual <= 1e-8
+    short = estimate_opnorm(*args, seed=9, max_iters=2)
+    assert not short.converged
+    assert short.residual > 1e-8
+    assert short.iterations == 2
