@@ -121,6 +121,7 @@ class AscentResult:
     converged: bool
     residual: float
     restart_values: np.ndarray
+    candidate_values: np.ndarray  # one per extra candidate row; -inf where not finite
     from_candidate: bool
 
 
@@ -139,8 +140,9 @@ def maximize(
     generator, so identical (seed, opts) reproduce bitwise. Each step sets
     f <- g^(1/(s-1)) scaled to maximum 1, on the restarts whose residual
     max |d log J / d log f| still exceeds tol. The value is the max over the
-    restart endpoints and the candidate rows (e.g. cube indicators);
-    `residual` is the largest endpoint residual, converged means <= tol.
+    restart endpoints and the candidate rows (e.g. cube indicators), whose
+    values are returned as `candidate_values`; `residual` is the largest
+    endpoint residual, converged means <= tol.
     """
     if not objective.s > 1.0:
         raise ParameterError(f"the fixed-point step needs s > 1, got {objective.s}")
@@ -176,5 +178,6 @@ def maximize(
         converged=residual <= tol,
         residual=residual,
         restart_values=np.exp(objective.outer * logj),
+        candidate_values=vals[restarts:],
         from_candidate=best >= restarts,
     )

@@ -5,11 +5,12 @@ over the members of a sparse family. Everything is evaluated exactly on
 atom partitions, through the family's compiled geometry (atoms, member
 atom ranges and the member-by-atom incidence matrix; see
 dyadic.FamilyGeometry), which one call builds once and shares between the
-solver objective, the indicator bound and the candidate sweep. The only
-non-exact quantity is the fixed-point estimate of the operator norm, which
-carries a stationarity residual, is bracketed from below by the certified
-indicator bound and is cross-checked against the spectral norm at
-p = q = 2, r = 1 and on tiny instances by a sphere-grid oracle.
+solver objective and the candidate sweep, whose indicator rows also give
+the certified bound. The only non-exact quantity is the fixed-point
+estimate of the operator norm, which carries a stationarity residual, is
+bracketed from below by the certified indicator bound and is
+cross-checked against the spectral norm at p = q = 2, r = 1 and on tiny
+instances by a sphere-grid oracle.
 `apply_sparse` evaluates the operator cube by cube (the reference path).
 """
 
@@ -70,13 +71,12 @@ def _objective(
     return obj, sig_q
 
 
-def _indicator_bound(geom: FamilyGeometry, obj: CubeObjective, sig_q: np.ndarray) -> float:
+def _require_sigma_mass(geom: FamilyGeometry, sig_q: np.ndarray) -> None:
     zero = np.flatnonzero(sig_q <= 0.0)
     if len(zero):
         raise DegenerateInstanceError(
             f"sigma has zero mass on member {geom.family.members[zero[0]]}"
         )
-    return float(np.max(obj.value(geom.incidence)))
 
 
 def indicator_lower_bound(
@@ -95,7 +95,9 @@ def indicator_lower_bound(
     check it against the cube-by-cube `apply_sparse` path.
     """
     geom = FamilyGeometry(family, part)
-    return _indicator_bound(geom, *_objective(geom, cfg, omega, sigma))
+    obj, sig_q = _objective(geom, cfg, omega, sigma)
+    _require_sigma_mass(geom, sig_q)
+    return float(np.max(obj.value(geom.incidence)))
 
 
 def rayleigh_objective(
@@ -145,12 +147,16 @@ def estimate_opnorm(
 def _estimate(
     geom: FamilyGeometry, cfg: ExponentConfig, omega: Weight, sigma: Weight, **opts
 ) -> OpNormEstimate:
-    """estimate_opnorm on an already built geometry."""
+    """estimate_opnorm on an already built geometry.
+
+    The certified bound is the best member indicator among the candidates
+    the solver sweeps (the incidence rows of `geom.candidates`).
+    """
     obj, sig_q = _objective(geom, cfg, omega, sigma)
-    lower = _indicator_bound(geom, obj, sig_q)
+    _require_sigma_mass(geom, sig_q)
     res = maximize(obj, extra_candidates=geom.candidates, **opts)
     return OpNormEstimate(
-        certified_lower=lower,
+        certified_lower=float(np.max(res.candidate_values[: len(sig_q)])),
         ascent_value=res.value,
         maximizer=StepFunction(geom.part, res.maximizer, nonneg=True),
         restarts=opts["restarts"],

@@ -9,7 +9,7 @@ the explicit geometric constant (1 - 2^{-p})^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,13 +20,18 @@ from .weights import Weight, weighted_average
 
 @dataclass(frozen=True)
 class StoppingFamily:
-    """Principals, the minimal-principal parent map, and stopping children."""
+    """Principals, the minimal-principal parent map, and stopping children.
+
+    `geometry` is the family geometry the construction used; the sum bound
+    reuses it.
+    """
 
     family: SparseFamily
     principals: tuple[DyadicInterval, ...]
     parent: dict
     children: dict
     averages: dict
+    geometry: FamilyGeometry = field(compare=False, repr=False)
 
     def principal_of(self, member: DyadicInterval) -> DyadicInterval:
         return self.parent[member]
@@ -74,6 +79,7 @@ def build_principal_cubes(
         parent=parent,
         children=children,
         averages=avg,
+        geometry=geom,
     )
 
 
@@ -88,7 +94,7 @@ def principal_sum_bound(
     ratio and the integrated (sigma-measure) ratio; both should be <= 1.
     """
     members = stopping.family.members
-    geom = FamilyGeometry(stopping.family)
+    geom = stopping.geometry
     avgs = np.array([stopping.averages[q] for q in members])
     chosen = set(stopping.principals)
     is_principal = np.array([q in chosen for q in members])

@@ -1,19 +1,27 @@
 """Tests for the power-weight sweeps.
 
-The implementation accumulates everything in log2 space so that truncation
-depths of order 2^12 * 20 cannot overflow. The oracles below redo the same
-shell sums naively in plain double arithmetic at eps = 1/4 and 1/8, where
-the largest intermediate is ~2^{450} and doubles still hold it; agreement
-there validates the log-space path, which is the only thing that changes
-as eps shrinks. Characteristics are cross-checked against the independent
-one-weight scanner, and the test-function norm against its closed form
-eps^{-1/p}.
+The implementation accumulates everything in log2 space, sums the primal
+and dual lhs shells in closed form once they turn exactly geometric
+(g(l+1) > 54), and streams the dual rhs sums in fixed-length chunks. The
+oracles below check it three ways: naive shell sums in plain double
+arithmetic at eps = 1/4 and 1/8, where the largest intermediate is
+~2^{450} and doubles still hold it; 40-digit mpmath shell sums, shell by
+shell, at eps = 2^-8 and 2^-9; and invariance under the chunk length.
+The deep grid eps = 2^-9 ... 2^-17 checks slopes and tails where the
+benchmark runs, and a tracemalloc guard keeps every array bounded
+independently of K. Characteristics are cross-checked against the
+independent one-weight scanner, and the test-function norm against its
+closed form eps^{-1/p}.
 """
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+
+import sparselab.sharpness as sharpness
 
 from sparselab import (
     ParameterError,
@@ -98,6 +106,105 @@ def naive_dual(eps, p, q, alpha, k):
     )
     tail_lhs = major2 / (1.0 - 2.0**-d2) / s_lhs / pc
     return s_rhs ** (1.0 / qc), s_lhs ** (1.0 / pc), tail_rhs, tail_lhs
+
+
+def mp_shell_sum(k, lead, c, g, rate):
+    """40-digit lead * (sum_{l<k} G_l^c J_l + G_k^c 2^{-k rate} / rate) and the tail majorant.
+
+    G_l = (2^{g(l+1)} - 1)/(2^g - 1) and J_l = 2^{-l rate}(1 - 2^-rate)/rate,
+    summed shell by shell.
+    """
+    with mpmath.workdps(40):
+        two_g, step = mpmath.mpf(2) ** g, mpmath.mpf(2) ** -rate
+        total, grow, decay = mpmath.mpf(0), two_g, mpmath.mpf(1)
+        for _ in range(k):
+            total += ((grow - 1) / (two_g - 1)) ** c * decay
+            grow *= two_g
+            decay *= step
+        total *= (1 - step) / rate
+        core = ((grow - 1) / (two_g - 1)) ** c * decay / rate
+        major = (grow / (two_g - 1)) ** c * decay * (1 - step) / rate
+        return lead * (total + core), lead * major
+
+
+def mp_primal(eps, p, q, alpha, k):
+    """af_exact and tail_exact to 40 digits, with p' = p/(p-1) exact."""
+    with mpmath.workdps(40):
+        eps, p, q, alpha = map(mpmath.mpf, (eps, p, q, alpha))
+        m = q * (1 - eps) * (p - 1) / p
+        s, major = mp_shell_sum(k, eps**-q, q / 2, 2 * (alpha - eps), m + 1)
+        d = m + 1 - q * (alpha - eps)
+        return s ** (1 / q), major / (1 - mpmath.mpf(2) ** -d) / s / q
+
+
+def mp_lhs(eps, p, q, alpha, k):
+    """lhs_norm and tail_lhs to 40 digits, with p' = p/(p-1) exact."""
+    with mpmath.workdps(40):
+        eps, p, q, alpha = map(mpmath.mpf, (eps, p, q, alpha))
+        pc = p / (p - 1)
+        u = pc * (1 - eps) / q
+        s, major = mp_shell_sum(k, (4 * eps) ** (-pc / 2), pc / 2, 2 * (alpha - eps), u + 1)
+        d = u + 1 - pc * (alpha - eps)
+        return s ** (1 / pc), major / (1 - mpmath.mpf(2) ** -d) / s / pc
+
+
+@pytest.mark.parametrize("pqa", [P243, P487])
+@pytest.mark.parametrize("eps", [2.0**-8, 2.0**-9])
+def test_shell_sums_match_mpmath(pqa, eps):
+    p, q, alpha = pqa
+    k = math.ceil(20.0 / eps)
+    prim = primal_quantities(eps, p, q, alpha, k)
+    dual = dual_quantities(eps, p, q, alpha, k)
+    af, tail_ex = mp_primal(eps, p, q, alpha, k)
+    lhs, tail_lhs = mp_lhs(eps, p, q, alpha, k)
+    assert prim.af_exact == pytest.approx(float(af), rel=1e-12)
+    assert dual.lhs_norm == pytest.approx(float(lhs), rel=1e-12)
+    assert prim.tail_exact == pytest.approx(float(tail_ex), rel=1e-9)
+    assert dual.tail_lhs == pytest.approx(float(tail_lhs), rel=1e-9)
+
+
+@pytest.mark.parametrize("pqa", [P243, P487])
+def test_chunk_length_does_not_move_values(pqa, monkeypatch):
+    p, q, alpha = pqa
+    eps = 1.01 * 2.0**-12  # K = 81109 spans two default chunks
+    k = math.ceil(20.0 / eps)
+    base = primal_quantities(eps, p, q, alpha, k), dual_quantities(eps, p, q, alpha, k)
+    assert base[1].coef_identity_max_rel > 0.0
+    for chunk in (2**10, k + 1):
+        monkeypatch.setattr(sharpness, "_CHUNK", chunk)
+        got = primal_quantities(eps, p, q, alpha, k), dual_quantities(eps, p, q, alpha, k)
+        for new, old in zip(got, base):
+            for name, a, b in zip(old._fields, new, old):
+                assert a == pytest.approx(b, rel=1e-14, abs=0.0), name
+        assert got[1].coef_identity_max_rel == base[1].coef_identity_max_rel
+
+
+@pytest.mark.parametrize("pqa,variant", [
+    (P243, "primal"), (P243, "dual"), (P487, "primal"), (P487, "dual"),
+])
+def test_deep_grid_slopes_and_tails(pqa, variant):
+    p, q, alpha = pqa
+    grid = tuple(2.0**-k for k in range(9, 18))
+    rows = sweep(SharpnessConfig(p, q, alpha, variant, eps_grid=grid))
+    fit = fit_slope(rows, window=4)
+    assert abs(fit.slope - expected_slope(p, q, alpha, variant)) < 0.01
+    for row in rows:
+        assert row.tail_bound <= 1e-6
+        if variant == "primal":
+            assert row.extras["af_exact"] >= row.extras["af_lower"]
+
+
+@pytest.mark.parametrize("quantities", [primal_quantities, dual_quantities])
+def test_deepest_row_memory_is_bounded(quantities):
+    eps = 2.0**-17
+    k = math.ceil(20.0 / eps)  # 2,621,440 shells; one float array of K is 21 MB
+    tracemalloc.start()
+    try:
+        quantities(eps, *P487, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("pqa", [P243, P487])
@@ -248,6 +355,9 @@ def test_quantity_validation():
         dual_quantities(0.5, 2.0, 4.0, 0.75, 1000)  # above the alpha/2 cap
     with pytest.raises(ParameterError):
         dual_quantities(-0.1, 2.0, 4.0, 0.75, 1000)
+    with pytest.raises(ParameterError):
+        # off the line the lhs shells grow; rejected before any O(K) work
+        dual_quantities(0.1, 2.0, 4.0, 2.0, 10**12)
 
 
 def test_expected_slope_variants():

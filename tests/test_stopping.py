@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+import sparselab.stopping as stopping_mod
 from sparselab import (
     LEBESGUE,
     DegenerateInstanceError,
@@ -139,3 +140,22 @@ def test_degenerate_sigma_rejected():
     sigma = PiecewiseWeight(1, [0.0, 1.0])
     with pytest.raises(DegenerateInstanceError):
         build_principal_cubes(chain_family(1), LEBESGUE, sigma)
+
+
+def test_one_geometry_per_construction(monkeypatch):
+    built = []
+
+    class CountingGeometry(stopping_mod.FamilyGeometry):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(stopping_mod, "FamilyGeometry", CountingGeometry)
+    family = chain_family(9)
+    f = PowerWeight(-0.5)
+    stopping = build_principal_cubes(family, f, LEBESGUE)
+    report = principal_sum_bound(stopping, f, LEBESGUE, 2.0)
+    assert built == [family]
+    assert report["atoms"] == len(stopping.geometry.part)
+    # the geometry is carried along but not compared
+    assert build_principal_cubes(family, f, LEBESGUE) == stopping
