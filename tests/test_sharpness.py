@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 import sparselab.sharpness as sharpness
-
 from sparselab import (
     ParameterError,
     PowerWeight,
