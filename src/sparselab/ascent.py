@@ -160,11 +160,15 @@ def maximize(
 
     logj, grad = objective.log_value_and_grad(np.log(f))
     residual = float(np.max(np.abs(grad), initial=0.0))
-    rows = [f]
+    # The endpoints and the candidates are valued as two batches: BLAS may
+    # round a row differently with other rows beside it, and a candidate's
+    # value must not depend on the restarts (see indicator_lower_bound).
+    rows, vals = [f], [objective.value(f)]
     if extra_candidates is not None and len(extra_candidates):
         rows.append(np.atleast_2d(np.asarray(extra_candidates, dtype=float)))
+        vals.append(objective.value(rows[-1]))
     allf = np.concatenate(rows, axis=0)
-    vals = objective.value(allf)
+    vals = np.concatenate(vals)
     vals = np.where(np.isfinite(vals), vals, -np.inf)
     best = int(np.argmax(vals))
     maximizer = allf[best]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -129,9 +130,9 @@ class SparseFamily:
     def __iter__(self):
         return iter(self.members)
 
-    @property
+    @cached_property
     def root(self) -> DyadicInterval:
-        """Minimal dyadic interval containing every member."""
+        """Minimal dyadic interval containing every member (computed once)."""
         cur = self.members[0]
         for m in self.members[1:]:
             while not cur.encloses(m):
@@ -156,14 +157,35 @@ def carleson_constant(family: SparseFamily) -> float:
     The family is eta-sparse in the certified sense whenever the returned
     value is at most 1/eta.
     """
-    lengths = np.array([q.length for q in family.members])
-    return float(np.max(_containment(family.members) @ lengths / lengths))
+    level, pos = interval_arrays(family.members)
+    lengths = np.ldexp(1.0, -level)
+    return float(np.max(_containment(level, pos) @ lengths / lengths))
 
 
-def _containment(members) -> np.ndarray:
-    """Boolean matrix whose [i, j] entry says member i encloses member j."""
-    level = np.array([q.level for q in members])
-    pos = np.array([q.position for q in members])
+def interval_arrays(intervals) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 level and position arrays of a sequence of dyadic intervals.
+
+    Positions must fit in int64, so every level must be below 63.
+    """
+    return (
+        np.array([q.level for q in intervals], dtype=np.int64),
+        np.array([q.position for q in intervals], dtype=np.int64),
+    )
+
+
+def subtree_arrays(top: DyadicInterval, down: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and positions of top's descendants 0, ..., down levels below it.
+
+    Level by level, left to right: the descendants k levels down occupy
+    entries 2^k - 1 to 2^(k+1) - 2, and entry 0 is top itself.
+    """
+    k = np.repeat(np.arange(down + 1), 1 << np.arange(down + 1))
+    offset = np.arange(len(k)) + 1 - (1 << k)
+    return top.level + k, (top.position << k) + offset
+
+
+def _containment(level: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Boolean matrix whose [i, j] entry says interval i encloses interval j."""
     down = level - level[:, None]  # [i, j]: levels from member i down to member j
     return (down >= 0) & (pos >> np.maximum(down, 0) == pos[:, None])
 
@@ -185,9 +207,12 @@ class AtomPartition:
     def __init__(self, root: DyadicInterval, atoms: list[DyadicInterval]):
         self.root = root
         self.atoms = tuple(atoms)
-        self.finest_level = max(a.level for a in self.atoms)
-        self._left_ticks = [a.ticks(self.finest_level)[0] for a in self.atoms]
-        self._right_ticks = [a.ticks(self.finest_level)[1] for a in self.atoms]
+        self.levels, self.positions = interval_arrays(self.atoms)
+        self.finest_level = int(self.levels.max())
+        # atom endpoints as integer multiples of 2^-finest_level
+        shift = self.finest_level - self.levels
+        self.left_ticks = self.positions << shift
+        self.right_ticks = (self.positions + 1) << shift
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -196,39 +221,52 @@ class AtomPartition:
     def lengths(self) -> list[float]:
         return [a.length for a in self.atoms]
 
+    def atom_ranges(self, levels: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Half-open atom index ranges, one (i0, i1) row per dyadic interval.
+
+        Raises ParameterError, naming the first offending interval, when an
+        interval is not a union of atoms.
+        """
+        levels = np.asarray(levels, dtype=np.int64)
+        positions = np.asarray(positions, dtype=np.int64)
+        up = levels - self.root.level
+        outside = (up < 0) | (positions >> np.maximum(up, 0) != self.root.position)
+        finer = levels > self.finest_level
+        shift = np.maximum(self.finest_level - levels, 0)
+        lo, hi = positions << shift, (positions + 1) << shift
+        i0 = np.searchsorted(self.left_ticks, lo)
+        i1 = np.searchsorted(self.right_ticks, hi) + 1
+        last = len(self.atoms) - 1
+        aligned = (self.left_ticks[np.minimum(i0, last)] == lo) & (
+            self.right_ticks[np.minimum(i1, last + 1) - 1] == hi
+        )
+        for bad, why in (
+            (outside, f"lies outside the partition root {self.root}"),
+            (finer, "is finer than the partition atoms"),
+            (~aligned, "is not aligned with the partition"),
+        ):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ParameterError(f"{DyadicInterval(int(levels[k]), int(positions[k]))} {why}")
+        return np.stack([i0, i1], axis=1)
+
     def atom_range(self, interval: DyadicInterval) -> tuple[int, int]:
         """Half-open atom index range whose union is `interval`.
 
         Raises ParameterError when the interval is not a union of atoms.
         """
-        import bisect
-
-        if not self.root.encloses(interval):
-            raise ParameterError(f"{interval} lies outside the partition root {self.root}")
-        if interval.level > self.finest_level:
-            raise ParameterError(f"{interval} is finer than the partition atoms")
-        lo, hi = interval.ticks(self.finest_level)
-        i0 = bisect.bisect_left(self._left_ticks, lo)
-        i1 = bisect.bisect_left(self._right_ticks, hi) + 1
-        if (
-            i0 >= len(self.atoms)
-            or self._left_ticks[i0] != lo
-            or self._right_ticks[i1 - 1] != hi
-        ):
-            raise ParameterError(f"{interval} is not aligned with the partition")
-        return i0, i1
+        i0, i1 = self.atom_ranges(*interval_arrays([interval]))[0]
+        return int(i0), int(i1)
 
     def locate(self, interval: DyadicInterval) -> int:
         """Index of the single atom containing `interval`."""
-        import bisect
-
         if not self.root.encloses(interval):
             raise ParameterError(f"{interval} lies outside the partition root {self.root}")
         if interval.level <= self.finest_level:
             lo = interval.ticks(self.finest_level)[0]
         else:
             lo = interval.position >> (interval.level - self.finest_level)
-        idx = bisect.bisect_right(self._left_ticks, lo) - 1
+        idx = int(np.searchsorted(self.left_ticks, lo, side="right")) - 1
         if idx < 0 or not self.atoms[idx].encloses(interval):
             raise ParameterError(f"{interval} is not contained in a single atom")
         return idx
@@ -254,14 +292,14 @@ def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
                 break
             split.add(node)
     cells = {(lvl + 1, 2 * pos + b) for lvl, pos in split for b in (0, 1)} - split
-    leaves = [DyadicInterval(*c) for c in cells] if split else [root]
+    if not split:
+        cells = {(root.level, root.position)}
+    finest = max(lvl for lvl, _ in cells)
+    leaves = [
+        DyadicInterval(*c) for c in sorted(cells, key=lambda c: c[1] << (finest - c[0]))
+    ]
     if extra_depth:
-        refined: list[DyadicInterval] = []
-        for leaf in leaves:
-            refined.extend(subdivide(leaf, extra_depth))
-        leaves = refined
-    finest = max(x.level for x in leaves)
-    leaves.sort(key=lambda a: a.ticks(finest)[0])
+        leaves = [a for leaf in leaves for a in subdivide(leaf, extra_depth)]
     return AtomPartition(root, leaves)
 
 
@@ -277,14 +315,13 @@ class FamilyGeometry:
     def __init__(self, family: SparseFamily, part: AtomPartition | None = None):
         self.family = family
         self.part = atoms_of(family) if part is None else part
-        self.ranges = np.array(
-            [self.part.atom_range(q) for q in family.members], dtype=np.int64
-        )
+        self.levels, self.positions = interval_arrays(family.members)
+        self.ranges = self.part.atom_ranges(self.levels, self.positions)
         lo, hi = self.ranges[:, :1], self.ranges[:, 1:]
         atom = np.arange(len(self.part))
         self.incidence = ((atom >= lo) & (atom < hi)).astype(float)  # (m, n)
-        self.contains = _containment(family.members)  # [i, j]: member i encloses j
-        self.lengths = np.array([q.length for q in family.members])
+        self.contains = _containment(self.levels, self.positions)  # [i, j]: i encloses j
+        self.lengths = np.ldexp(1.0, -self.levels)
 
     def length_powers(self, exponent: float) -> np.ndarray:
         """|Q|^exponent per member, by Python's float power.
@@ -296,10 +333,10 @@ class FamilyGeometry:
         return np.array([x**exponent for x in self.lengths.tolist()])
 
     def masses(self, w) -> tuple[np.ndarray, np.ndarray]:
-        """(atom masses, member masses) of a weight, each from `w.mass`."""
+        """(atom masses, member masses) of a weight, one `w.masses` call each."""
         return (
-            np.array([w.mass(a) for a in self.part.atoms]),
-            np.array([w.mass(q) for q in self.family.members]),
+            w.masses(self.part.levels, self.part.positions),
+            w.masses(self.levels, self.positions),
         )
 
     @property

@@ -86,6 +86,43 @@ def _log2_sum_streamed(lo: int, hi: int, log_term) -> float:
     return top + math.log2(acc) if acc > 0.0 else -math.inf
 
 
+def _coef_identity_max_rel(eps: float, alpha: float, k_top: int) -> float:
+    """max_k |2^(a_k - b_k) - 1| over k = 0..k_top for the two coefficient forms.
+
+    a_k = k (alpha - eps) - log2(eps)/2 - 1 is the closed form and
+    b_k = alpha k + (log2(eps)/2 + eps k) + (-2 eps k - log2(2 eps)) the
+    product of the block factors. Each chunk is evaluated in place in
+    preallocated buffers, in the order the expressions are written, so the
+    value is that of the plain array expressions bitwise.
+    """
+    half_log2_eps = 0.5 * math.log2(eps)
+    log2_two_eps = math.log2(2.0 * eps)
+    size = min(_CHUNK, k_top + 1)
+    iota = np.arange(size, dtype=float)
+    k, a, b, t = (np.empty(size) for _ in range(4))
+    worst = 0.0
+    for start in range(0, k_top + 1, size):
+        n = min(size, k_top + 1 - start)
+        kk, aa, bb, tt = k[:n], a[:n], b[:n], t[:n]
+        np.add(iota[:n], start, out=kk)
+        np.multiply(kk, alpha - eps, out=aa)
+        np.subtract(aa, half_log2_eps, out=aa)
+        np.subtract(aa, 1.0, out=aa)
+        np.multiply(kk, alpha, out=bb)
+        np.multiply(kk, eps, out=tt)
+        np.add(tt, half_log2_eps, out=tt)
+        np.add(bb, tt, out=bb)
+        np.multiply(kk, -(2.0 * eps), out=tt)
+        np.subtract(tt, log2_two_eps, out=tt)
+        np.add(bb, tt, out=bb)
+        np.subtract(aa, bb, out=aa)
+        np.multiply(aa, _LN2, out=aa)
+        np.expm1(aa, out=aa)
+        np.abs(aa, out=aa)
+        worst = max(worst, float(aa.max()))
+    return worst
+
+
 def _log2_shell_sum(
     n: int, base: float, c: float, g: float, rate: float, d: float
 ) -> float:
@@ -227,18 +264,7 @@ def dual_quantities(
     if d_step <= 0.0:
         raise ParameterError("lhs shells fail to decay; exponents off the line")
 
-    coef_identity_max_rel = 0.0
-    for kvec in _chunks(0, k_top + 1):
-        coef_a = kvec * (alpha - eps) - 0.5 * log2_eps - 1.0
-        coef_b = (
-            alpha * kvec
-            + (0.5 * log2_eps + eps * kvec)
-            + (-(2.0 * eps) * kvec - math.log2(2.0 * eps))
-        )
-        coef_identity_max_rel = max(
-            coef_identity_max_rel,
-            float(np.max(np.abs(np.expm1((coef_a - coef_b) * _LN2)))),
-        )
+    coef_identity_max_rel = _coef_identity_max_rel(eps, alpha, k_top)
 
     # rhs: || (sum a_k^2)^{1/2} ||_{L^{q'}(w^q)}; integrand power (q'+1)eps - 1
     g_growth = 2.0 * eps

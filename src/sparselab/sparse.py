@@ -49,7 +49,7 @@ def lp_norm(f: StepFunction, w: Weight, p: float) -> float:
     """(sum_a |f(a)|^p w(a))^{1/p} with exact atom masses."""
     if not p > 0.0:
         raise ParameterError(f"norm exponent must be positive, got {p}")
-    masses = np.array([w.mass(a) for a in f.partition.atoms])
+    masses = w.masses(f.partition.levels, f.partition.positions)
     return float(np.dot(np.abs(f.values) ** p, masses)) ** (1.0 / p)
 
 
@@ -88,16 +88,18 @@ def indicator_lower_bound(
 ) -> float:
     """Certified operator-norm lower bound from indicator test functions.
 
-    Takes the best Rayleigh quotient over the member indicators 1_Q, all
-    evaluated in one batch by the solver objective; always at least the
-    two-weight characteristic because the single-cube term already equals
+    Takes the best Rayleigh quotient over the member indicators 1_Q,
+    evaluated by the solver objective in the batch that `maximize` sweeps
+    (`geom.candidates`), so it equals `estimate_opnorm(...).certified_lower`
+    bitwise. It is always at least the two-weight characteristic because
+    the single-cube term already equals
     |Q|^{-alpha} sigma(Q) * omega(Q)^{1/q} / sigma(Q)^{1/p}. The tests
     check it against the cube-by-cube `apply_sparse` path.
     """
     geom = FamilyGeometry(family, part)
     obj, sig_q = _objective(geom, cfg, omega, sigma)
     _require_sigma_mass(geom, sig_q)
-    return float(np.max(obj.value(geom.incidence)))
+    return float(np.max(obj.value(geom.candidates)[: len(sig_q)]))
 
 
 def rayleigh_objective(

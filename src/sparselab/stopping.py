@@ -15,7 +15,8 @@ import numpy as np
 
 from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily
 from .errors import DegenerateInstanceError
-from .weights import Weight, weighted_average
+from .functions import StepFunction
+from .weights import Weight, product_masses, weighted_integral
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,17 @@ def build_principal_cubes(
     positive mass on every member.
     """
     members = family.members
-    avg = {}
-    for q in members:
-        if sigma.mass(q) <= 0.0:
-            raise DegenerateInstanceError(f"sigma has zero mass on member {q}")
-        avg[q] = weighted_average(f, sigma, q)
-    avgs = np.array([avg[q] for q in members])
     geom = FamilyGeometry(family)
+    _, sig_q = geom.masses(sigma)
+    zero = np.flatnonzero(sig_q <= 0.0)
+    if len(zero):
+        raise DegenerateInstanceError(f"sigma has zero mass on member {members[zero[0]]}")
+    if isinstance(f, StepFunction):
+        integrals = np.array([weighted_integral(f, sigma, q) for q in members])
+    else:
+        integrals = product_masses(f, sigma, geom.levels, geom.positions)
+    avgs = integrals / sig_q
+    avg = dict(zip(members, avgs.tolist()))
     # inside[i, j]: member i lies strictly inside member j
     inside = geom.contains.T & ~np.eye(len(members), dtype=bool)
 

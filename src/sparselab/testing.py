@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .ascent import CubeObjective, maximize
-from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily
+from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily, interval_arrays
 from .errors import DegenerateInstanceError, ParameterError
 from .sparse import _estimate
 from .weights import (
@@ -350,16 +350,15 @@ def check_lemma43(
     """
     if top not in family.members:
         raise ParameterError("reference interval must belong to the family")
-    lhs = math.fsum(
-        q.length**query.a * sigma.mass(q) ** query.b * omega.mass(q) ** query.c
-        for q in family.members
-        if top.encloses(q)
+    inside = [q for q in family.members if top.encloses(q)]
+    levels, positions = interval_arrays(inside)
+    terms = (
+        np.ldexp(1.0, -levels) ** query.a
+        * sigma.masses(levels, positions) ** query.b
+        * omega.masses(levels, positions) ** query.c
     )
-    rhs = (
-        top.length**query.a
-        * sigma.mass(top) ** query.b
-        * omega.mass(top) ** query.c
-    )
+    lhs = math.fsum(terms.tolist())
+    rhs = float(terms[inside.index(top)])
     if query.a > 0.0:
         branch = "scale-positive: local value alone"
     else:

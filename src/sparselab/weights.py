@@ -3,11 +3,15 @@
 A weight is a nonnegative density with exactly computable interval masses.
 Two representations cover everything in scope: pure powers c|x|^beta
 anchored at the origin, and piecewise-constant densities on a uniform
-dyadic grid. Characteristic suprema are taken over declared finite dyadic
-test sets and the test set is recorded in every report, so reported values
-are exact maxima of what was actually scanned, never estimates of a
-continuous supremum. The Fujii-Wilson constant uses the depth-truncated
-dyadic maximal function and is therefore flagged as a lower estimate.
+dyadic grid. Each class has one array kernel, `masses(levels, positions)`,
+that every mass in the package goes through; `mass` and `grid_masses` are
+one-line wrappers over it, and `product_masses` computes the masses of a
+product density from the kernels of its factors. Characteristic suprema are taken over
+declared finite dyadic test sets and the test set is recorded in every
+report, so reported values are exact maxima of what was actually scanned,
+never estimates of a continuous supremum. The Fujii-Wilson constant uses
+the depth-truncated dyadic maximal function and is therefore flagged as a
+lower estimate.
 """
 
 from __future__ import annotations
@@ -18,9 +22,22 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .dyadic import ROOT, DyadicInterval, SparseFamily, uniform_partition
+from .dyadic import (
+    ROOT,
+    DyadicInterval,
+    SparseFamily,
+    interval_arrays,
+    subtree_arrays,
+    uniform_partition,
+)
 from .errors import DegenerateInstanceError, ParameterError
 from .functions import StepFunction
+
+
+def _grid(base: DyadicInterval, levels_down: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and positions of the 2^levels_down descendants of base, left to right."""
+    n = 1 << levels_down
+    return np.full(n, base.level + levels_down), (base.position << levels_down) + np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -36,29 +53,30 @@ class PowerWeight:
         if not self.coeff > 0.0:
             raise ParameterError("power weight coefficient must be positive")
 
-    def mass(self, interval: DyadicInterval) -> float:
-        # For m = position > 0, right^e - left^e = left^e * expm1(e * log1p(1/m))
-        # avoids the cancellation of the plain difference at deep levels. The
-        # plain difference is exact for e = 1 (dyadic endpoints) and for m = 0.
-        e = self.beta + 1.0
-        m = interval.position
-        if m == 0 or e == 1.0:
-            diff = interval.right**e - interval.left**e
-        else:
-            diff = interval.left**e * math.expm1(e * math.log1p(1.0 / m))
-        return self.coeff * diff / e
-
-    def grid_masses(self, base: DyadicInterval, levels_down: int) -> np.ndarray:
-        """Masses of the 2^levels_down descendants of base, left to right."""
-        lvl = base.level + levels_down
-        pos = (base.position << levels_down) + np.arange(1 << levels_down)
+    def masses(self, levels, positions) -> np.ndarray:
+        """Masses of the dyadic intervals [m 2^-k, (m+1) 2^-k), elementwise."""
+        lvl = np.asarray(levels, dtype=np.int64)
+        pos = np.asarray(positions, dtype=np.int64)
         left = np.ldexp(pos.astype(float), -lvl)
         right = np.ldexp((pos + 1).astype(float), -lvl)
         e = self.beta + 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff = left**e * np.expm1(e * np.log1p(1.0 / pos))
-        diff = np.where((pos == 0) | (e == 1.0), right**e - left**e, diff)
+        if e == 1.0:
+            diff = right - left  # exact: dyadic endpoints
+        else:
+            # For m = position > 0, right^e - left^e = left^e * expm1(e * log1p(1/m))
+            # avoids the cancellation of the plain difference at deep levels; at
+            # m = 0 the plain difference is right^e itself.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                diff = left**e * np.expm1(e * np.log1p(1.0 / pos))
+            diff = np.where(pos == 0, right**e, diff)
         return self.coeff * diff / e
+
+    def mass(self, interval: DyadicInterval) -> float:
+        return float(self.masses([interval.level], [interval.position])[0])
+
+    def grid_masses(self, base: DyadicInterval, levels_down: int) -> np.ndarray:
+        """Masses of the 2^levels_down descendants of base, left to right."""
+        return self.masses(*_grid(base, levels_down))
 
     def pow(self, exponent: float) -> "PowerWeight":
         return PowerWeight(self.beta * exponent, self.coeff**exponent)
@@ -72,7 +90,13 @@ LEBESGUE = PowerWeight(0.0)
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseWeight:
-    """Nonnegative density constant on each depth-`depth` atom of [0, 1)."""
+    """Nonnegative density constant on each depth-`depth` atom of [0, 1).
+
+    The density sums of every dyadic node at or above the cell depth are
+    summed once, pairwise, into a level-by-level tree: node (k, m) sits at
+    entry 2^k - 1 + m, and `values` is a read-only view of the tree's leaf
+    row. Weights are immutable, so the tree never goes stale.
+    """
 
     depth: int
     values: np.ndarray
@@ -87,27 +111,35 @@ class PiecewiseWeight:
             )
         if np.any(vals < 0):
             raise ParameterError("weight densities must be nonnegative")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        tree = np.empty((2 << self.depth) - 1)
+        tree[(1 << self.depth) - 1 :] = vals
+        for k in range(self.depth - 1, -1, -1):
+            below = tree[(2 << k) - 1 : (4 << k) - 1]
+            np.add(below[0::2], below[1::2], out=tree[(1 << k) - 1 : (2 << k) - 1])
+        tree.setflags(write=False)
+        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "values", tree[(1 << self.depth) - 1 :])
+
+    def masses(self, levels, positions) -> np.ndarray:
+        """Masses of the dyadic intervals [m 2^-k, (m+1) 2^-k), elementwise.
+
+        At or above the cell depth a mass is the node's density sum times
+        2^-depth; below it, the one covering cell's density times 2^-k. A
+        single cell's mass is therefore its density times its length exactly.
+        """
+        lvl = np.asarray(levels, dtype=np.int64)
+        pos = np.asarray(positions, dtype=np.int64)
+        below = np.maximum(lvl - self.depth, 0)
+        node_level = lvl - below
+        node = (1 << node_level) - 1 + (pos >> below)
+        return np.ldexp(self._tree[node], -np.maximum(lvl, self.depth))
 
     def mass(self, interval: DyadicInterval) -> float:
-        # a correctly rounded sum of the covered cells, not a prefix-sum difference
-        if interval.level <= self.depth:
-            lo, hi = interval.ticks(self.depth)
-            return math.fsum(self.values[lo:hi].tolist()) * math.ldexp(1.0, -self.depth)
-        cell = interval.position >> (interval.level - self.depth)
-        return float(self.values[cell]) * interval.length
+        return float(self.masses([interval.level], [interval.position])[0])
 
     def grid_masses(self, base: DyadicInterval, levels_down: int) -> np.ndarray:
-        lvl = base.level + levels_down
-        n = 1 << levels_down
-        first = base.position << levels_down
-        if lvl <= self.depth:
-            shift = self.depth - lvl
-            cells = self.values[first << shift : (first + n) << shift]
-            return np.add.reduceat(cells, np.arange(n) << shift) * math.ldexp(1.0, -self.depth)
-        cells = (np.arange(n) + first) >> (lvl - self.depth)
-        return self.values[cells] * math.ldexp(1.0, -lvl)
+        """Masses of the 2^levels_down descendants of base, left to right."""
+        return self.masses(*_grid(base, levels_down))
 
     def pow(self, exponent: float) -> "PiecewiseWeight":
         if exponent < 0 and np.any(self.values == 0.0):
@@ -125,17 +157,33 @@ def mass(w: Weight, interval: DyadicInterval) -> float:
     return w.mass(interval)
 
 
-def _product_mass(f: Weight, g: Weight, interval: DyadicInterval) -> float:
-    """Exact integral of the product density f*g over a dyadic interval."""
+def product_masses(f: Weight, g: Weight, levels, positions) -> np.ndarray:
+    """Masses of the product density f*g on dyadic intervals, elementwise.
+
+    A power times a power is again a power. Otherwise let the cells be those
+    of the finest piecewise factor. On a cell, and on anything finer, at
+    least one factor is constant, so the product's mass is exactly
+    f(Q) g(Q) / |Q|; coarser masses are node sums of a piecewise weight
+    holding the cell densities f(c) g(c) / |c|^2. No array is finer than
+    the factors' own cells, however deep the intervals.
+    """
+    lvl = np.asarray(levels, dtype=np.int64)
+    pos = np.asarray(positions, dtype=np.int64)
     if isinstance(f, PowerWeight) and isinstance(g, PowerWeight):
-        return PowerWeight(f.beta + g.beta, f.coeff * g.coeff).mass(interval)
-    depths = [w.depth for w in (f, g) if isinstance(w, PiecewiseWeight)]
-    down = max(max(depths) - interval.level, 0)
-    fm = f.grid_masses(interval, down)
-    gm = g.grid_masses(interval, down)
-    cell = math.ldexp(1.0, -(interval.level + down))
-    # On each cell at least one factor is constant, so mass*mass/length is exact.
-    return float(np.dot(fm, gm)) / cell
+        return PowerWeight(f.beta + g.beta, f.coeff * g.coeff).masses(lvl, pos)
+    cells = max(w.depth for w in (f, g) if isinstance(w, PiecewiseWeight))
+    grid = _grid(ROOT, cells)
+    prod = PiecewiseWeight(cells, np.ldexp(f.masses(*grid) * g.masses(*grid), 2 * cells))
+    out = prod.masses(lvl, pos)
+    fine = lvl > cells
+    if fine.any():
+        lf, pf = lvl[fine], pos[fine]
+        out[fine] = np.ldexp(f.masses(lf, pf) * g.masses(lf, pf), lf)
+    return out
+
+
+def _product_mass(f: Weight, g: Weight, interval: DyadicInterval) -> float:
+    return float(product_masses(f, g, [interval.level], [interval.position])[0])
 
 
 def average(w, interval: DyadicInterval, base: Weight = LEBESGUE) -> float:
@@ -165,9 +213,8 @@ def weighted_integral(f, w: Weight, interval: DyadicInterval) -> float:
             i0, i1 = part.atom_range(interval)
         except ParameterError:
             return float(f.values[part.locate(interval)]) * w.mass(interval)
-        return math.fsum(
-            float(f.values[i]) * w.mass(part.atoms[i]) for i in range(i0, i1)
-        )
+        atom_masses = w.masses(part.levels[i0:i1], part.positions[i0:i1])
+        return math.fsum((f.values[i0:i1] * atom_masses).tolist())
     return _product_mass(f, w, interval)
 
 
@@ -179,6 +226,12 @@ def weighted_average(f, w: Weight, interval: DyadicInterval) -> float:
     return weighted_integral(f, w, interval) / denom
 
 
+def _level_masses(w: Weight, top: DyadicInterval, down: int) -> list[np.ndarray]:
+    """Masses of top's descendants k levels down, for k = 0..down, in one kernel call."""
+    heap = w.masses(*subtree_arrays(top, down))
+    return [heap[(1 << k) - 1 : (2 << k) - 1] for k in range(down + 1)]
+
+
 def dyadic_maximal(w: Weight, top: DyadicInterval, depth: int) -> StepFunction:
     """Maximal ancestor average max_{a <= Q' <= top} <w>_{Q'} per depth atom.
 
@@ -188,8 +241,8 @@ def dyadic_maximal(w: Weight, top: DyadicInterval, depth: int) -> StepFunction:
         raise ParameterError("maximal-function depth is coarser than the interval")
     down = depth - top.level
     best = None
-    for k in range(down + 1):
-        avgs = w.grid_masses(top, k) * math.ldexp(1.0, top.level + k)
+    for k, level_masses in enumerate(_level_masses(w, top, down)):
+        avgs = level_masses * math.ldexp(1.0, top.level + k)
         tiled = np.repeat(avgs, 1 << (down - k))
         best = tiled if best is None else np.maximum(best, tiled)
     return StepFunction(uniform_partition(top, down), best, nonneg=True)
@@ -210,12 +263,12 @@ def ainfty(w: Weight, root: DyadicInterval = ROOT, depth: int = 10) -> Character
     is a lower estimate of the continuous characteristic. It is exact for
     the finite test set scanned, >= 1, and nondecreasing in depth.
     """
-    if w.mass(root) <= 0.0:
-        raise DegenerateInstanceError("weight has zero mass on the root")
     down = depth - root.level
     if down < 0:
         raise ParameterError("depth is coarser than the root interval")
-    level_masses = [w.grid_masses(root, k) for k in range(down + 1)]
+    level_masses = _level_masses(w, root, down)
+    if level_masses[0][0] <= 0.0:
+        raise DegenerateInstanceError("weight has zero mass on the root")
     best_val = 1.0
     best_q = root
     # running[a] = max average over ancestors of atom a up to the current level
@@ -275,33 +328,32 @@ class ExponentConfig:
         return s / (s - 1.0)
 
 
+def _first_max(
+    vals: np.ndarray, levels: np.ndarray, positions: np.ndarray
+) -> tuple[float, Optional[DyadicInterval]]:
+    """The largest value and the first interval attaining it; (-1, None) when empty."""
+    if not len(vals):
+        return -1.0, None
+    j = int(np.argmax(vals))
+    return float(vals[j]), DyadicInterval(int(levels[j]), int(positions[j]))
+
+
 def two_weight_char(
     omega: Weight, sigma: Weight, cfg: ExponentConfig, family: SparseFamily
 ) -> CharacteristicReport:
     """sup over family members of |Q|^{-alpha} omega(Q)^{1/q} sigma(Q)^{1/p'}."""
-    best_val = -1.0
-    best_q = None
-    for q_int in family.members:
-        val = (
-            q_int.length ** (-cfg.alpha)
-            * omega.mass(q_int) ** (1.0 / cfg.q)
-            * sigma.mass(q_int) ** (1.0 / cfg.p_conj)
-        )
-        if val > best_val:
-            best_val = val
-            best_q = q_int
+    levels, positions = interval_arrays(family.members)
+    vals = (
+        np.ldexp(1.0, -levels) ** (-cfg.alpha)
+        * omega.masses(levels, positions) ** (1.0 / cfg.q)
+        * sigma.masses(levels, positions) ** (1.0 / cfg.p_conj)
+    )
+    best_val, best_q = _first_max(vals, levels, positions)
     return CharacteristicReport(
         value=best_val,
         attained_at=best_q,
         test_set=f"declared family of {len(family)} intervals",
     )
-
-
-def _dyadic_test_set(depth: int) -> list[DyadicInterval]:
-    out = []
-    for k in range(depth + 1):
-        out.extend(DyadicInterval(k, m) for m in range(1 << k))
-    return out
 
 
 def one_weight_apq(
@@ -327,19 +379,17 @@ def one_weight_apq(
             raise ParameterError(
                 f"power weight exponent {w.beta} not integrable for (p, q)=({p}, {q})"
             )
-    intervals = list(test_set) if test_set is not None else _dyadic_test_set(depth)
-    descriptor = (
-        "caller-provided test set"
-        if test_set is not None
-        else f"all dyadic intervals to depth {depth}"
-    )
-    best_val = -1.0
-    best_q = None
-    for q_int in intervals:
-        val = average(wq, q_int) * average(wmp, q_int) ** (q / p_conj)
-        if val > best_val:
-            best_val = val
-            best_q = q_int
+    if test_set is not None:
+        levels, positions = interval_arrays(list(test_set))
+        descriptor = "caller-provided test set"
+    else:
+        levels, positions = subtree_arrays(ROOT, depth)
+        descriptor = f"all dyadic intervals to depth {depth}"
+    lengths = np.ldexp(1.0, -levels)
+    vals = (wq.masses(levels, positions) / lengths) * (
+        wmp.masses(levels, positions) / lengths
+    ) ** (q / p_conj)
+    best_val, best_q = _first_max(vals, levels, positions)
     return CharacteristicReport(value=best_val, attained_at=best_q, test_set=descriptor)
 
 
@@ -350,16 +400,14 @@ def classical_ap(
     test_set: Union[SparseFamily, Iterable[DyadicInterval]],
 ) -> float:
     """sup_Q |Q|^{-p} omega(Q) sigma(Q)^{p-1} over the given intervals."""
-    intervals = test_set.members if isinstance(test_set, SparseFamily) else test_set
-    best = -1.0
-    for q_int in intervals:
-        val = (
-            q_int.length ** (-p)
-            * omega.mass(q_int)
-            * sigma.mass(q_int) ** (p - 1.0)
-        )
-        best = max(best, val)
-    return best
+    intervals = test_set.members if isinstance(test_set, SparseFamily) else list(test_set)
+    levels, positions = interval_arrays(intervals)
+    vals = (
+        np.ldexp(1.0, -levels) ** (-p)
+        * omega.masses(levels, positions)
+        * sigma.masses(levels, positions) ** (p - 1.0)
+    )
+    return _first_max(vals, levels, positions)[0]
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,31 @@ import numpy as np
 import pytest
 
 from sparselab import (
+    ROOT,
+    DyadicInterval,
+    ExponentConfig,
     FamilyGeometry,
+    MeasureEstimateQuery,
+    PiecewiseWeight,
     PositiveDyadicOperator,
+    PowerWeight,
+    SparseFamily,
     StepFunction,
+    ainfty,
     apply_sparse,
     atoms_of,
     build_principal_cubes,
     carleson_constant,
     check_lemma41,
+    check_lemma43,
+    classical_ap,
     indicator_lower_bound,
     lp_norm,
     lsu_testing_sums,
     make_instance,
+    principal_sum_bound,
+    two_weight_char,
+    verify_thm42,
     weighted_average,
 )
 from sparselab import testing_T as _testing_T
@@ -196,3 +209,32 @@ def test_principal_cubes_match_encloses_loops():
         assert got.principals == tuple(sorted(principals))
         assert got.children == children
         assert got.parent == parent
+
+
+def test_geometry_masses_make_no_scalar_mass_calls(monkeypatch):
+    # every mass goes through one `masses` kernel call per array
+    calls = []
+    for cls in (PowerWeight, PiecewiseWeight):
+        scalar = cls.mass
+        monkeypatch.setattr(
+            cls, "mass", lambda self, iv, scalar=scalar: calls.append(iv) or scalar(self, iv)
+        )
+    members = [DyadicInterval(k, m) for k in range(5) for m in range(1 << k)]
+    family = SparseFamily(tuple(members + [DyadicInterval(5, 2 * m) for m in range(9)]))
+    assert len(family) == 40
+    sigma = PiecewiseWeight(3, np.linspace(0.5, 4.0, 8))
+    omega = PowerWeight(-0.5)
+    geom = FamilyGeometry(family)
+    for w in (sigma, omega):
+        atom_m, member_m = geom.masses(w)
+        assert len(atom_m) == len(geom.part) and len(member_m) == 40
+    cfg = ExponentConfig(2.0, 2.0, 1.0, 0.5)
+    two_weight_char(omega, sigma, cfg, family)
+    classical_ap(omega, sigma, 2.0, family)
+    ainfty(sigma, depth=6)
+    verify_thm42(family, cfg, omega, sigma)
+    check_lemma43(family, omega, sigma, MeasureEstimateQuery(0.0, 0.5, 0.5), ROOT)
+    for f in (PowerWeight(0.5), sigma.pow(2.0)):
+        stopping = build_principal_cubes(family, f, sigma)
+        principal_sum_bound(stopping, f, sigma, 2.0)
+    assert calls == []

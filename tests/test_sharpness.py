@@ -178,6 +178,25 @@ def test_chunk_length_does_not_move_values(pqa, monkeypatch):
         assert got[1].coef_identity_max_rel == base[1].coef_identity_max_rel
 
 
+@pytest.mark.parametrize("alpha", [0.75, 0.875])
+def test_coef_identity_in_place_matches_array_expressions(alpha):
+    # the plain array expressions over one arange, as written before the
+    # check was evaluated in place; the max must agree bitwise
+    for e in (9.013, 11.5, 12.98, 14.02):
+        eps = 2.0**-e
+        k_top = math.ceil(20.0 / eps)
+        k = np.arange(k_top + 1, dtype=float)
+        log2_eps = math.log2(eps)
+        coef_a = k * (alpha - eps) - 0.5 * log2_eps - 1.0
+        coef_b = (
+            alpha * k
+            + (0.5 * log2_eps + eps * k)
+            + (-(2.0 * eps) * k - math.log2(2.0 * eps))
+        )
+        expected = float(np.max(np.abs(np.expm1((coef_a - coef_b) * math.log(2.0)))))
+        assert sharpness._coef_identity_max_rel(eps, alpha, k_top) == expected
+
+
 @pytest.mark.parametrize("pqa,variant", [
     (P243, "primal"), (P243, "dual"), (P487, "primal"), (P487, "dual"),
 ])

@@ -111,14 +111,14 @@ def test_estimate_matches_eigenvalue_oracle():
 
 
 def test_certified_lower_is_the_indicator_bound():
-    # estimate_opnorm takes its bound from the solver's candidate sweep;
-    # the batch differs from indicator_lower_bound's, so BLAS may round
-    # the last bits differently
-    for i in range(30):
+    # both value the same candidate batch, so they agree bitwise; on
+    # instances 148 and 154 a batch that also held the restart endpoints
+    # rounded the best indicator differently
+    for i in [*range(30), 148, 154]:
         inst = make_instance("thm11", 7, i)
         est = estimate_opnorm(inst.family, inst.cfg, inst.omega, inst.sigma, seed=i)
         lower = indicator_lower_bound(inst.family, inst.cfg, inst.omega, inst.sigma)
-        assert est.certified_lower == pytest.approx(lower, rel=1e-14)
+        assert est.certified_lower == lower, i
     sigma = PiecewiseWeight(1, [0.0, 2.0])
     with pytest.raises(DegenerateInstanceError):
         estimate_opnorm(CHAIN1, ExponentConfig(2, 2, 1, 1), LEBESGUE, sigma)

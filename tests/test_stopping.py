@@ -26,12 +26,14 @@ from sparselab import (
     PowerWeight,
     ROOT,
     SparseFamily,
+    StepFunction,
     build_principal_cubes,
     chain_family,
     relate,
     Relation,
     weighted_average,
     principal_sum_bound,
+    uniform_partition,
 )
 
 
@@ -134,6 +136,19 @@ def test_children_are_disjoint():
         for i, a in enumerate(kids):
             for b in kids[i + 1:]:
                 assert relate(a, b) is Relation.DISJOINT
+
+
+def test_step_function_density_matches_piecewise_weight():
+    # a StepFunction f takes the per-member path, a Weight f the product weight
+    family = SparseFamily(chain_family(3).members + (DyadicInterval(2, 3),), eta=0.2)
+    vals = [9.0, 0.5, 2.0, 0.1, 4.0, 4.0, 0.3, 7.0]
+    sigma = PiecewiseWeight(2, [1.0, 3.0, 0.5, 2.0])
+    step = StepFunction(uniform_partition(ROOT, 3), vals, nonneg=True)
+    by_step = build_principal_cubes(family, step, sigma)
+    by_weight = build_principal_cubes(family, PiecewiseWeight(3, vals), sigma)
+    assert by_step.principals == by_weight.principals
+    for q in family.members:
+        assert by_step.averages[q] == pytest.approx(by_weight.averages[q], rel=1e-14)
 
 
 def test_degenerate_sigma_rejected():

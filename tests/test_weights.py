@@ -28,6 +28,7 @@ from sparselab import (
     two_weight_char,
     weighted_average,
 )
+from sparselab.weights import product_masses
 
 
 def quad_mass(density, interval, **kw):
@@ -141,6 +142,109 @@ def test_power_mass_deep_right_end(level):
         assert float(abs(w.mass(iv) - exact) / exact) < 1e-13
         grid = w.grid_masses(DyadicInterval(level - 2, iv.position >> 2), 2)
         assert float(abs(grid[-1] - exact) / exact) < 1e-13
+
+
+def _arrays(intervals):
+    return (
+        np.array([q.level for q in intervals], dtype=np.int64),
+        np.array([q.position for q in intervals], dtype=np.int64),
+    )
+
+
+def _exact_piecewise_mass(vals, depth, iv):
+    if iv.level <= depth:
+        lo, hi = iv.ticks(depth)
+        return sum(Fraction(v) for v in vals[lo:hi]) / 2**depth
+    return Fraction(vals[iv.position >> (iv.level - depth)]) / 2**iv.level
+
+
+@st.composite
+def _weight_and_intervals(draw):
+    depth = draw(st.integers(0, 6))
+    vals = draw(st.lists(
+        st.floats(min_value=1e-3, max_value=1e3), min_size=1 << depth, max_size=1 << depth
+    ))
+    interval = st.integers(0, depth + 4).flatmap(
+        lambda k: st.integers(0, (1 << k) - 1).map(lambda m: DyadicInterval(k, m))
+    )
+    return depth, vals, draw(st.lists(interval, min_size=1, max_size=40))
+
+
+@given(_weight_and_intervals())
+def test_piecewise_masses_kernel(case):
+    # mixed levels above and below the cell depth in one call
+    depth, vals, ivs = case
+    w = PiecewiseWeight(depth, vals)
+    got = w.masses(*_arrays(ivs))
+    assert np.array_equal(got, [w.mass(q) for q in ivs])
+    for m, q in zip(got.tolist(), ivs):
+        exact = _exact_piecewise_mass(vals, depth, q)
+        assert abs(Fraction(m) - exact) <= Fraction(1, 10**14) * exact
+
+
+@pytest.mark.parametrize("beta", [-0.9, -0.5, 0.0, 0.7, 2.0])
+def test_power_masses_against_mpmath(beta):
+    # beta = 0 is the plain-difference branch e = 1; position 0 the other one
+    w = PowerWeight(beta, coeff=1.3)
+    ivs = [
+        DyadicInterval(k, m)
+        for k in range(41)
+        for m in sorted({0, 1, (1 << k) // 3, (1 << k) - 1})
+        if m < 1 << k
+    ]
+    got = w.masses(*_arrays(ivs))
+    with mpmath.workdps(60):
+        e = mpmath.mpf(beta) + 1
+        for m, q in zip(got.tolist(), ivs):
+            left = mpmath.mpf(q.position) / mpmath.mpf(2) ** q.level
+            right = mpmath.mpf(q.position + 1) / mpmath.mpf(2) ** q.level
+            exact = mpmath.mpf(1.3) * (right**e - left**e) / e
+            assert float(abs(m - exact) / exact) < 1e-13, q
+
+
+def test_masses_of_no_intervals():
+    empty = np.array([], dtype=np.int64)
+    for w in (PowerWeight(-0.5), LEBESGUE, PiecewiseWeight(2, [1.0, 2.0, 3.0, 4.0])):
+        got = w.masses(empty, empty)
+        assert got.shape == (0,) and got.dtype == np.float64
+
+
+def test_piecewise_values_view_the_tree():
+    vals = np.array([1.0, 2.0, 3.0, 4.0])
+    w = PiecewiseWeight(2, vals)
+    assert np.array_equal(w.values, vals)
+    assert not w.values.flags.writeable
+    assert vals.flags.writeable  # the caller's array is copied, not frozen
+    vals[0] = 100.0
+    assert w.mass(ROOT) == 2.5
+
+
+def test_product_masses_against_exact_products():
+    f = PiecewiseWeight(2, [0.5, 2.0, 1.25, 4.0])
+    g = PiecewiseWeight(3, [3.0, 0.1, 1.0, 7.0, 0.25, 2.0, 5.0, 0.75])
+    ivs = [DyadicInterval(k, m) for k in range(6) for m in range(1 << k)]
+    cells = [Fraction(f.values[c >> 1]) * Fraction(g.values[c]) for c in range(8)]
+    for m, q in zip(product_masses(f, g, *_arrays(ivs)).tolist(), ivs):
+        assert m == pytest.approx(float(_exact_piecewise_mass(cells, 3, q)), rel=1e-15)
+
+    # a power factor: exact above, on and below the piecewise cells, down to
+    # level 40, with no grid finer than the cells
+    p = PowerWeight(-0.5, coeff=2.0)
+    ivs += [DyadicInterval(k, m) for k in (12, 40) for m in (0, 5, (1 << k) - 1)]
+    with mpmath.workdps(40):
+        for m, q in zip(product_masses(p, g, *_arrays(ivs)).tolist(), ivs):
+            # 2 x^(-1/2) integrates to 4 sqrt(x); g is constant on each depth-3 cell
+            k = max(q.level, 3)
+            lo, hi = (q.position << (k - q.level), (q.position + 1) << (k - q.level))
+            exact = mpmath.fsum(
+                g.values[c >> (k - 3)] * 4
+                * (mpmath.sqrt(mpmath.mpf(c + 1) / 2**k) - mpmath.sqrt(mpmath.mpf(c) / 2**k))
+                for c in range(lo, hi)
+            )
+            assert float(abs(m - exact) / exact) < 1e-14, q
+
+    both = product_masses(p, PowerWeight(1.5, coeff=3.0), *_arrays(ivs))
+    assert np.array_equal(both, PowerWeight(1.0, coeff=6.0).masses(*_arrays(ivs)))
 
 
 def test_pow_and_scaled():
