@@ -9,11 +9,20 @@ over nonnegative atom functions f, reported as J^outer. J is scale-free,
 and its gradient vanishes exactly when f^(s-1) is proportional to
 g = scatter(gamma F^(e-1) range_sum(omega h^(t-1))), where F are the cube
 integrals of f and h is the operator image. `maximize` iterates
-f <- g^(1/(s-1)) from seeded starts: Boyd's power method for l^p operator
-norms (Boyd 1974; Higham 1992), extended to the r-power operator. Every
-caller has s > 1. The reported certificate is the stationarity residual
-max |d log J / d log f| at the restart endpoints. Quasi-norm regimes
-t < 1 or e < 1 use the same formulas; no triangle inequality is assumed.
+f <- g^(1/(s-1)): Boyd's power method for l^p operator norms (Boyd 1974;
+Higham 1992), extended to the r-power operator. Every caller has s > 1.
+The reported certificate is the stationarity residual
+max |d log J / d log f| at the endpoints. Quasi-norm regimes t < 1 or
+e < 1 use the same formulas; no triangle inequality is assumed.
+
+When e t = s, e >= 1 and t >= 1 (the p = q rows with r <= q), the step
+map is order-preserving and homogeneous of degree 1, so nonlinear
+Perron-Frobenius theory applies: when the map is irreducible one start
+reaches the maximizer, and at every positive f the Collatz-Wielandt bound
+J_max <= (max_a g_a(f) / f_a^(s-1))^(1/t) brackets it from above (Lemmens &
+Nussbaum, Nonlinear Perron-Frobenius Theory, 2012; Gautier, Tudisco & Hein
+2018). Those rows run the constant start alone and keep it when the bound
+confirms it; all others run seeded multi-start iterations.
 
 Because every cube of a sparse family is a contiguous run of partition
 atoms, cube sums and their transposes are products with the 0/1
@@ -23,7 +32,8 @@ family's compiled geometry (see dyadic.FamilyGeometry).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,9 +90,9 @@ class CubeObjective:
     def value(self, f: np.ndarray) -> np.ndarray:
         return np.exp(self.outer * self.log_value(f))
 
-    def log_value_and_grad(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log J and its gradient in u at f = exp(u) (u rows are (B, n))."""
-        return self._stationarity(np.exp(u))[:2]
+    def log_value_and_grad(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log J, its gradient in u and the pullback g at f = exp(u) (u rows are (B, n))."""
+        return self._stationarity(np.exp(u))
 
     def _stationarity(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """log J, its gradient in log f, and g = _pullback at f (rows are (B, n)).
@@ -113,6 +123,15 @@ def _pow0(x: np.ndarray, p: float, zero: bool = False) -> np.ndarray:
     return x**p
 
 
+# A constant start is kept when its Collatz-Wielandt bound lies within this
+# relative distance above the reported value; otherwise the seeded starts run.
+BRACKET_TOL = 1e-6
+# The bound is raised by this relative amount to cover the rounding of g and
+# of the value, each a few O(n)-term sums: about n 2^-53, 1e-14 at n = 100
+# atoms. Without it a one-atom bound, equal to the value, can fall 1 ulp below.
+ROUNDING_SLACK = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class AscentResult:
     value: float
@@ -123,6 +142,26 @@ class AscentResult:
     restart_values: np.ndarray
     candidate_values: np.ndarray  # one per extra candidate row; -inf where not finite
     from_candidate: bool
+    starts: int  # fixed-point starts run, a rejected constant start included
+    certified_upper: float | None  # bound on the maximum, on the scale of value
+    certified_upper_reason: str | None  # why certified_upper is None
+
+
+def _bracket_reason(objective: CubeObjective) -> str | None:
+    """Why the Collatz-Wielandt bound does not hold for the objective; None when it does.
+
+    The step map f -> g(f)^(1/(s-1)) is homogeneous of degree (e t - 1)/(s - 1)
+    and order-preserving when e >= 1 and t >= 1. At degree 1 (e t = s) the
+    maximum of J^t is its cone spectral radius, which max_a g_a / f_a^(s-1)
+    bounds at every positive f (Lemmens & Nussbaum 2012). t is stored as a
+    quotient, so e t is compared with s to 1e-12 relative.
+    """
+    e, t, s = objective.e, objective.t, objective.s
+    if not math.isclose(e * t, s, rel_tol=1e-12):
+        return f"e t = {e * t:g} differs from s = {s:g}: the step map is not 1-homogeneous"
+    if e < 1.0 or t < 1.0:
+        return f"e = {e:g}, t = {t:g}: the step map is order-preserving only when both are >= 1"
+    return None
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -134,22 +173,57 @@ def maximize(
     seed: int = 0,
     extra_candidates: np.ndarray | None = None,
 ) -> AscentResult:
-    """Multi-start fixed-point iteration plus a sweep of candidate functions.
+    """Fixed-point iteration from one or more starts plus a sweep of candidate functions.
 
-    Starts are drawn per atom log-uniformly from [1e-3, 1e3] with a seeded
-    generator, so identical (seed, opts) reproduce bitwise. Each step sets
-    f <- g^(1/(s-1)) scaled to maximum 1, on the restarts whose residual
-    max |d log J / d log f| still exceeds tol. The value is the max over the
-    restart endpoints and the candidate rows (e.g. cube indicators), whose
+    Each step sets f <- g^(1/(s-1)) scaled to maximum 1, on the starts whose
+    residual max |d log J / d log f| still exceeds tol. The value is the max
+    over the endpoints and the candidate rows (e.g. cube indicators), whose
     values are returned as `candidate_values`; `residual` is the largest
     endpoint residual, converged means <= tol.
+
+    Where the Collatz-Wielandt bound holds (`_bracket_reason` is None) and
+    restarts >= 1, one start runs: the constant function. It is kept, with
+    `certified_upper` = (max_a g_a / f_a^(s-1))^(outer/t) at its endpoint,
+    when that bound is finite and within BRACKET_TOL of the value. Otherwise,
+    as on every other objective, `restarts` starts are drawn per atom
+    log-uniformly from [1e-3, 1e3] with a seeded generator, so identical
+    (seed, opts) reproduce bitwise; `certified_upper` is then None and
+    `certified_upper_reason` says why. `iterations` counts the passes of the
+    starts whose endpoints are reported. restarts = 0 sweeps the candidates only.
     """
     if not objective.s > 1.0:
         raise ParameterError(f"the fixed-point step needs s > 1, got {objective.s}")
+    reason = _bracket_reason(objective)
+    if reason is None and restarts == 0:
+        reason = "restarts = 0: no start was run"
+    rejected = 0
+    if reason is None:
+        single = _solve(objective, np.ones((1, objective.n_atoms)), max_iters, tol,
+                        extra_candidates, certify=True)
+        if single.certified_upper is not None:
+            return single
+        reason, rejected = single.certified_upper_reason, 1
     rng = np.random.default_rng(seed)
     f = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(restarts, objective.n_atoms)))
+    res = _solve(objective, f, max_iters, tol, extra_candidates, certify=False)
+    return replace(res, starts=res.starts + rejected, certified_upper_reason=reason)
+
+
+def _solve(
+    objective: CubeObjective,
+    f: np.ndarray,
+    max_iters: int,
+    tol: float,
+    extra_candidates: np.ndarray | None,
+    certify: bool,
+) -> AscentResult:
+    """Iterate the starts f (rows, updated in place), certify and sweep the candidates.
+
+    With certify, the Collatz-Wielandt bound is taken from the pullback g of
+    the endpoint certificate call; the caller has checked that it holds.
+    """
     power = 1.0 / (objective.s - 1.0)
-    moving = np.arange(restarts)
+    moving = np.arange(len(f))
     iterations = 0
     while len(moving) and iterations < max_iters:
         iterations += 1
@@ -158,7 +232,8 @@ def maximize(
         moving, g = moving[still], g[still]
         f[moving] = (g / g.max(axis=1, keepdims=True)) ** power
 
-    logj, grad = objective.log_value_and_grad(np.log(f))
+    u = np.log(f)
+    logj, grad, g = objective.log_value_and_grad(u)
     residual = float(np.max(np.abs(grad), initial=0.0))
     # The endpoints and the candidates are valued as two batches: BLAS may
     # round a row differently with other rows beside it, and a candidate's
@@ -175,13 +250,27 @@ def maximize(
     peak = maximizer.max()
     if peak > 0.0:
         maximizer = maximizer / peak
+    value = float(vals[best])
+    upper, reason = None, None
+    if certify:
+        ratio = np.max(g / np.exp(u) ** (objective.s - 1.0))
+        bound = float(ratio ** (objective.outer / objective.t)) * (1.0 + ROUNDING_SLACK)
+        if not math.isfinite(bound):
+            reason = "the bound at the constant start is not finite: g vanishes on some atoms"
+        elif bound > value * (1.0 + BRACKET_TOL):
+            reason = f"the bound at the constant start exceeds the value by more than {BRACKET_TOL:g}"
+        else:
+            upper = bound
     return AscentResult(
-        value=float(vals[best]),
+        value=value,
         maximizer=maximizer,
         iterations=iterations,
         converged=residual <= tol,
         residual=residual,
         restart_values=np.exp(objective.outer * logj),
-        candidate_values=vals[restarts:],
-        from_candidate=best >= restarts,
+        candidate_values=vals[len(f):],
+        from_candidate=best >= len(f),
+        starts=len(f),
+        certified_upper=upper,
+        certified_upper_reason=reason,
     )

@@ -342,6 +342,9 @@ def cmd_opnorm(args) -> int:
     values = {
         "estimate": est.ascent_value,
         "certified_lower": est.certified_lower,
+        "certified_upper": est.certified_upper,
+        "certified_upper_reason": est.certified_upper_reason,
+        "starts": est.restarts,
         "characteristic": char,
         "theorem_rhs": rhs,
         "rhs_branch": rhs_branch(inst.cfg),

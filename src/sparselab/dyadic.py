@@ -205,17 +205,39 @@ class AtomPartition:
     """
 
     def __init__(self, root: DyadicInterval, atoms: list[DyadicInterval]):
-        self.root = root
+        self._set_arrays(root, *interval_arrays(atoms))
         self.atoms = tuple(atoms)
-        self.levels, self.positions = interval_arrays(self.atoms)
+
+    @classmethod
+    def from_arrays(
+        cls, root: DyadicInterval, levels: np.ndarray, positions: np.ndarray
+    ) -> "AtomPartition":
+        """The partition with these int64 atom levels and positions, in order.
+
+        The `atoms` tuple of intervals is built on first use.
+        """
+        part = cls.__new__(cls)
+        part._set_arrays(root, levels, positions)
+        return part
+
+    def _set_arrays(self, root: DyadicInterval, levels: np.ndarray, positions: np.ndarray):
+        self.root = root
+        self.levels, self.positions = levels, positions
         self.finest_level = int(self.levels.max())
         # atom endpoints as integer multiples of 2^-finest_level
         shift = self.finest_level - self.levels
         self.left_ticks = self.positions << shift
         self.right_ticks = (self.positions + 1) << shift
 
+    @cached_property
+    def atoms(self) -> tuple[DyadicInterval, ...]:
+        return tuple(
+            DyadicInterval(lvl, pos)
+            for lvl, pos in zip(self.levels.tolist(), self.positions.tolist())
+        )
+
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.levels)
 
     @property
     def lengths(self) -> list[float]:
@@ -236,7 +258,7 @@ class AtomPartition:
         lo, hi = positions << shift, (positions + 1) << shift
         i0 = np.searchsorted(self.left_ticks, lo)
         i1 = np.searchsorted(self.right_ticks, hi) + 1
-        last = len(self.atoms) - 1
+        last = len(self.levels) - 1
         aligned = (self.left_ticks[np.minimum(i0, last)] == lo) & (
             self.right_ticks[np.minimum(i1, last + 1) - 1] == hi
         )
@@ -284,23 +306,30 @@ def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
     if extra_depth < 0:
         raise ParameterError("extra_depth must be >= 0")
     root = family.root
-    split: set[tuple[int, int]] = set()
-    for m in family.members:
-        for level in range(m.level - 1, root.level - 1, -1):
-            node = (level, m.position >> (m.level - level))
-            if node in split:
-                break
-            split.add(node)
-    cells = {(lvl + 1, 2 * pos + b) for lvl, pos in split for b in (0, 1)} - split
-    if not split:
-        cells = {(root.level, root.position)}
-    finest = max(lvl for lvl, _ in cells)
-    leaves = [
-        DyadicInterval(*c) for c in sorted(cells, key=lambda c: c[1] << (finest - c[0]))
-    ]
+    level, pos = interval_arrays(family.members)
+    # heap codes 2^level + position are unique per node (levels below 63);
+    # the ancestor `up` levels above a node has its code shifted right by up
+    depth = level - root.level
+    member = np.repeat(np.arange(len(level)), depth)
+    up = np.arange(len(member)) - np.repeat(np.cumsum(depth) - depth, depth) + 1
+    split, first = np.unique(((1 << level) + pos)[member] >> up, return_index=True)
+    if len(split):
+        # the children of split nodes that are not split themselves
+        children = np.concatenate([2 * split, 2 * split + 1])
+        at = np.minimum(np.searchsorted(split, children), len(split) - 1)
+        leaf = split[at] != children
+        cell_level = np.tile(level[member[first]] - up[first] + 1, 2)[leaf]
+        cell_pos = children[leaf] - (1 << cell_level)
+    else:
+        cell_level = np.array([root.level], dtype=np.int64)
+        cell_pos = np.array([root.position], dtype=np.int64)
+    order = np.argsort(cell_pos << (cell_level.max() - cell_level))
+    cell_level, cell_pos = cell_level[order], cell_pos[order]
     if extra_depth:
-        leaves = [a for leaf in leaves for a in subdivide(leaf, extra_depth)]
-    return AtomPartition(root, leaves)
+        k = 1 << extra_depth
+        cell_level = np.repeat(cell_level + extra_depth, k)
+        cell_pos = np.repeat(cell_pos << extra_depth, k) + np.tile(np.arange(k), len(order))
+    return AtomPartition.from_arrays(root, cell_level, cell_pos)
 
 
 class FamilyGeometry:

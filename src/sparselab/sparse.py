@@ -8,9 +8,10 @@ dyadic.FamilyGeometry), which one call builds once and shares between the
 solver objective and the candidate sweep, whose indicator rows also give
 the certified bound. The only non-exact quantity is the fixed-point
 estimate of the operator norm, which carries a stationarity residual, is
-bracketed from below by the certified indicator bound and is
-cross-checked against the spectral norm at p = q = 2, r = 1 and on tiny
-instances by a sphere-grid oracle.
+bracketed from below by the certified indicator bound and, when p = q and
+r <= q, from above by the Collatz-Wielandt bound, and is cross-checked
+against the spectral norm at p = q = 2, r = 1 and on tiny instances by a
+sphere-grid oracle.
 `apply_sparse` evaluates the operator cube by cube (the reference path).
 """
 
@@ -119,11 +120,13 @@ class OpNormEstimate:
     certified_lower: float
     ascent_value: float
     maximizer: StepFunction
-    restarts: int
+    restarts: int  # fixed-point starts run
     iterations: int
     converged: bool
     residual: float
     seed: int
+    certified_upper: float | None  # Collatz-Wielandt bound at p = q, r <= q
+    certified_upper_reason: str | None  # why certified_upper is None
 
 
 def estimate_opnorm(
@@ -136,11 +139,16 @@ def estimate_opnorm(
     tol: float = 1e-8,
     seed: int = 0,
 ) -> OpNormEstimate:
-    """Multi-start fixed-point solve of the operator-norm quotient (ascent.maximize).
+    """Fixed-point solve of the operator-norm quotient (ascent.maximize).
 
-    Reports the stationarity residual of the restart endpoints. Cube
-    indicators and the constant function are always swept as candidates,
-    so the estimate never falls below the certified bound.
+    Reports the stationarity residual of the endpoints. Cube indicators and
+    the constant function are always swept as candidates, so the estimate
+    never falls below the certified bound. When p = q and 1 <= r <= q, one
+    start (the constant function) runs and `certified_upper` brackets the
+    norm from above; `restarts` seeded starts run elsewhere, and also there
+    when the bracket fails, with the reason in `certified_upper_reason`.
+    `restarts=0` sweeps the candidates only. The estimate's `restarts` is
+    the number of starts run.
     """
     opts = dict(restarts=restarts, max_iters=max_iters, tol=tol, seed=seed)
     return _estimate(FamilyGeometry(family), cfg, omega, sigma, **opts)
@@ -161,11 +169,13 @@ def _estimate(
         certified_lower=float(np.max(res.candidate_values[: len(sig_q)])),
         ascent_value=res.value,
         maximizer=StepFunction(geom.part, res.maximizer, nonneg=True),
-        restarts=opts["restarts"],
+        restarts=res.starts,
         iterations=res.iterations,
         converged=res.converged,
         residual=res.residual,
         seed=opts["seed"],
+        certified_upper=res.certified_upper,
+        certified_upper_reason=res.certified_upper_reason,
     )
 
 

@@ -125,7 +125,11 @@ def check_prop31(
 ) -> ComparabilityReport:
     """Operator norm (to the r) against the testing-constant bound.
 
-    lhs = estimate^r; rhs = T + T* when r < p, T alone when r >= p.
+    lhs = estimate^r; rhs = T + T* when r < p, T alone when r >= p. The
+    solver runs as in `estimate_opnorm`: one start where p = q and r <= q,
+    `restarts` seeded starts elsewhere and where the bracket fails.
+    `certified_upper` is the estimate's Collatz-Wielandt bound to the r, an
+    upper bound on lhs, or None where the bracket does not apply or fails.
     """
     geom = FamilyGeometry(family)
     est = _estimate(
@@ -148,6 +152,7 @@ def check_prop31(
         branch=branch,
         converged=est.converged,
         residual=est.residual,
+        certified_upper=None if est.certified_upper is None else est.certified_upper**cfg.r,
     )
 
 
@@ -167,6 +172,9 @@ def check_lemma32(
     I maximizes || sum c_Q (int_Q f dsigma)^r 1_Q ||_{L^{q/r}_omega} over
     ||f||_{L^p_sigma} <= 1; II the linearized form over ||g||_{L^{p/r}_sigma}
     <= 1 with coefficients c_Q sigma(Q)^{r-1}. Requires 1 < r < p <= q.
+    When p = q each side runs one start and `certified_upper` holds the
+    Collatz-Wielandt bounds on (lhs, rhs), entries None where a bound fails;
+    when p < q both sides run `restarts` seeded starts and the entries are None.
     """
     if not (1.0 < cfg.r < cfg.p <= cfg.q):
         raise ParameterError("the two-supremum equivalence needs 1 < r < p <= q")
@@ -201,6 +209,7 @@ def check_lemma32(
         desc,
         converged=res_i.converged and res_ii.converged,
         residual=max(res_i.residual, res_ii.residual),
+        certified_upper=(res_i.certified_upper, res_ii.certified_upper),
     )
 
 
@@ -261,7 +270,13 @@ def lsu_check(
     tol: float = 1e-8,
     seed: int = 0,
 ) -> ComparabilityReport:
-    """Norm of the linear positive operator against its two testing sums."""
+    """Norm of the linear positive operator against its two testing sums.
+
+    When p = q one start runs and `certified_upper` bounds lhs from above;
+    when p < q, or when the bound fails (for example a zero coefficient
+    leaves g zero on some atoms), `restarts` seeded starts run and
+    `certified_upper` is None.
+    """
     if not 1.0 < p <= q:
         raise ParameterError("norm characterization needs 1 < p <= q")
     family = op.family
@@ -283,6 +298,7 @@ def lsu_check(
     return _report(
         "lemma34", res.value, first + second, desc,
         converged=res.converged, residual=res.residual,
+        certified_upper=res.certified_upper,
     )
 
 

@@ -58,6 +58,7 @@ def _rel(a: float, b: float) -> float:
 def test_criterion_1_lower_bound_sandwich():
     t0 = time.perf_counter()
     bad = []
+    covered = 0
     for i in range(200):
         inst = make_instance("thm11", SEED, i)
         est = estimate_opnorm(inst.family, inst.cfg, inst.omega, inst.sigma, seed=i)
@@ -66,12 +67,19 @@ def test_criterion_1_lower_bound_sandwich():
             bad.append(f"{i}: estimate below the indicator bound")
         if not est.certified_lower >= char * (1.0 - 1e-12):
             bad.append(f"{i}: indicator bound below the characteristic")
+        # p = q, r <= q: the Collatz-Wielandt bound closes the sandwich from above
+        if inst.cfg.p == inst.cfg.q:
+            covered += 1
+            if est.certified_upper is None or not est.ascent_value <= est.certified_upper:
+                bad.append(f"{i}: estimate above the certified upper bound")
     elapsed = time.perf_counter() - t0
     _verdict(
         1,
-        "estimate >= indicator bound >= characteristic on 200 seeded instances",
-        not bad and elapsed < 120.0,
-        f"{len(bad)} violations, {elapsed:.1f}s" + ("; " + bad[0] if bad else ""),
+        "characteristic <= indicator bound <= estimate (<= upper bound where p = q)"
+        " on 200 seeded instances",
+        not bad and covered == 133 and elapsed < 120.0,
+        f"{len(bad)} violations, {covered} bracketed rows, {elapsed:.1f}s"
+        + ("; " + bad[0] if bad else ""),
     )
 
 
@@ -151,16 +159,21 @@ def test_criterion_5_oracle_equivalence():
     assert len(cases) >= 30
     t0 = time.perf_counter()
     worst = 0.0
+    bracketed, below = 0, 0
     for fam, cfg, omega, sigma in cases:
         est = estimate_opnorm(fam, cfg, omega, sigma, seed=0)
         oracle = oracle_opnorm(fam, cfg, omega, sigma)
         worst = max(worst, _rel(est.ascent_value, oracle))
+        if est.certified_upper is not None:
+            bracketed += 1
+            below += not est.certified_upper >= oracle
     elapsed = time.perf_counter() - t0
     _verdict(
         5,
         f"ascent matches the dense oracle on {len(cases)} small instances",
-        worst <= 1e-4 and elapsed < 60.0,
-        f"worst relative gap {worst:.2e}, {elapsed:.1f}s",
+        worst <= 1e-4 and bracketed and not below and elapsed < 60.0,
+        f"worst relative gap {worst:.2e}; {below} of {bracketed} upper bounds"
+        f" below the oracle; {elapsed:.1f}s",
     )
 
 

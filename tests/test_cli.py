@@ -65,11 +65,31 @@ def test_opnorm_sandwich_and_determinism(tmp_path, capsys):
     assert vals["estimate"] <= vals["theorem_rhs"]
     assert vals["rhs_branch"] == "generic"
     assert vals["converged"] and vals["residual"] <= 1e-8
+    # p = q: one start, bracketed from above
+    assert vals["starts"] == 1 and vals["certified_upper_reason"] is None
+    assert vals["estimate"] <= vals["certified_upper"] <= vals["estimate"] * (1 + 1e-6)
     for rep in (rep_a, rep_b):
         rep.pop("elapsed_seconds")
         rep.pop("csv")
     assert rep_a == rep_b
     assert (out_a / "opnorm_inst.csv").read_bytes() == (out_b / "opnorm_inst.csv").read_bytes()
+
+
+def test_opnorm_reports_why_no_upper_bound(tmp_path, capsys):
+    payload = dict(CHAIN_INSTANCE, exponents={"p": 2, "q": 4, "r": 2, "alpha": 0.75})
+    inst = write_instance(tmp_path, payload)
+    code, rep, _ = run_cli(capsys, ["opnorm", "--instance", inst, "--out", str(tmp_path)])
+    assert code == 0
+    vals = rep["values"]
+    assert vals["certified_upper"] is None and "1-homogeneous" in vals["certified_upper_reason"]
+    assert vals["starts"] == 4  # the instance's restarts
+    assert "non_finite" not in rep
+    # the bracket goes to the JSON report only; the CSV rows stay as they were
+    lines = (tmp_path / "opnorm_inst.csv").read_text().splitlines()[2:]
+    assert [line.split(",")[0] for line in lines] == [
+        "estimate", "certified-lower", "characteristic", "theorem-rhs",
+        "ratio-lower-over-estimate", "ratio-estimate-over-rhs",
+    ]
 
 
 class _Received(Exception):

@@ -161,3 +161,45 @@ def test_locate_finds_containing_atom():
 def test_atoms_extra_depth():
     part = atoms_of(chain_family(1), extra_depth=2)
     assert len(part) == 8
+
+
+def _atoms_by_set_walk(family: SparseFamily, extra_depth: int = 0) -> list[DyadicInterval]:
+    """Reference atoms: walk each member's ancestors through a set of split nodes."""
+    root = family.root
+    split = set()
+    for m in family.members:
+        for level in range(m.level - 1, root.level - 1, -1):
+            node = (level, m.position >> (m.level - level))
+            if node in split:
+                break
+            split.add(node)
+    cells = {(lvl + 1, 2 * pos + b) for lvl, pos in split for b in (0, 1)} - split
+    if not split:
+        cells = {(root.level, root.position)}
+    finest = max(lvl for lvl, _ in cells)
+    leaves = [
+        DyadicInterval(*c) for c in sorted(cells, key=lambda c: c[1] << (finest - c[0]))
+    ]
+    return [a for leaf in leaves for a in subdivide(leaf, extra_depth)]
+
+
+# atoms stay below level 63 (int64 positions) after two extra levels
+deep_intervals = st.integers(min_value=0, max_value=60).flatmap(
+    lambda k: st.integers(min_value=0, max_value=(1 << k) - 1).map(
+        lambda m: DyadicInterval(k, m)
+    )
+)
+
+
+@given(
+    st.lists(st.one_of(intervals, deep_intervals), min_size=1, max_size=12),
+    st.integers(min_value=0, max_value=2),
+)
+def test_atoms_of_matches_set_walk(members, extra_depth):
+    family = SparseFamily(tuple(members), eta=0.5)
+    ref = _atoms_by_set_walk(family, extra_depth)
+    part = atoms_of(family, extra_depth)
+    assert part.atoms == tuple(ref)
+    assert part.levels.tolist() == [a.level for a in ref]
+    assert part.positions.tolist() == [a.position for a in ref]
+    assert part.root == family.root

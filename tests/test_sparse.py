@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from sparselab import (
     LEBESGUE,
+    CubeObjective,
     DegenerateInstanceError,
     DyadicInterval,
     ExponentConfig,
@@ -255,7 +256,7 @@ def test_objective_gradient_matches_finite_differences():
     )
     rng = np.random.default_rng(3)
     u = rng.uniform(-1.0, 1.0, (2, len(part)))
-    logj, grad = obj.log_value_and_grad(u)
+    logj, grad, _ = obj.log_value_and_grad(u)
     eps = 1e-6
     for i in range(u.shape[0]):
         for k in range(u.shape[1]):
@@ -292,6 +293,8 @@ def test_maximize_never_below_candidates():
     assert res.value >= floor * (1.0 - 1e-15)
     only = maximize(obj, restarts=0, extra_candidates=cand)
     assert only.value == floor and only.from_candidate and only.converged
+    assert only.starts == 0 and len(only.restart_values) == 0
+    assert only.certified_upper is None and "restarts = 0" in only.certified_upper_reason
 
 
 def _spectral_norm(family, gamma, omega, sigma):
@@ -317,6 +320,8 @@ def test_thm11_linear_rows_match_spectral_norm():
         exact = _spectral_norm(inst.family, gamma, inst.omega, inst.sigma)
         est = estimate_opnorm(inst.family, cfg, inst.omega, inst.sigma, seed=i)
         assert est.ascent_value == pytest.approx(exact, rel=1e-9), f"instance {i}"
+        # the bound is first order in the endpoint's distance to the eigenvector
+        assert exact <= est.certified_upper <= exact * (1.0 + 1e-7), f"instance {i}"
         rows += 1
     assert rows == 20
 
@@ -333,6 +338,7 @@ def test_lemma34_linear_rows_match_spectral_norm():
         op = PositiveDyadicOperator(inst.family, taus)
         rep = lsu_check(op, p, q, inst.omega, inst.sigma, seed=i)
         assert rep.lhs == pytest.approx(exact, rel=1e-9), f"instance {i}"
+        assert exact <= rep.extras["certified_upper"] <= exact * (1.0 + 1e-7), f"instance {i}"
         rows += 1
     assert rows > 0
 
@@ -348,3 +354,48 @@ def test_estimate_certificate_residual():
     assert not short.converged
     assert short.residual > 1e-8
     assert short.iterations == 2
+
+
+def test_bracket_rows_run_one_start():
+    # thm11 cycles six exponent tuples; the p = q ones, 40 of 60 rows, are bracketed
+    starts = []
+    for i in range(60):
+        inst = make_instance("thm11", 7, i)
+        est = estimate_opnorm(inst.family, inst.cfg, inst.omega, inst.sigma, seed=i)
+        starts.append(est.restarts)
+        if inst.cfg.p == inst.cfg.q:
+            assert est.certified_upper is not None and est.converged, f"instance {i}"
+            assert est.certified_upper_reason is None
+        else:
+            assert est.certified_upper is None
+            assert "1-homogeneous" in est.certified_upper_reason
+    assert starts.count(1) == 40 and starts.count(16) == 20
+
+
+@pytest.mark.parametrize("cfg,reason", [
+    (ExponentConfig(2, 4, 2, 0.75), "not 1-homogeneous"),  # p < q
+    (ExponentConfig(2, 2, 3, 1), "order-preserving"),  # t = q/r < 1
+])
+def test_unbracketed_rows_run_the_seeded_starts(cfg, reason):
+    omega = PiecewiseWeight(2, [0.5, 2.0, 1.0, 0.25])
+    est = estimate_opnorm(THREE_ATOMS, cfg, omega, LEBESGUE, restarts=5, seed=3)
+    assert est.restarts == 5
+    assert est.certified_upper is None and reason in est.certified_upper_reason
+
+
+def test_reducible_map_falls_back_to_the_seeded_starts():
+    # tau = 0 on the root: g vanishes on the atom no other cube covers
+    family = SparseFamily((DyadicInterval(0, 0), DyadicInterval(1, 0), DyadicInterval(2, 2)))
+    op = PositiveDyadicOperator(family, np.array([0.0, 1.0, 0.5]))
+    rep = lsu_check(op, 2.0, 2.0, LEBESGUE, LEBESGUE, restarts=6, seed=1)
+    assert rep.extras["certified_upper"] is None
+    geom = FamilyGeometry(family)
+    obj = CubeObjective(
+        gamma=op.taus / geom.lengths, incidence=geom.incidence,
+        sigma_atom=geom.masses(LEBESGUE)[0], omega_atom=geom.masses(LEBESGUE)[0],
+        e=1.0, t=2.0, s=2.0,
+    )
+    res = maximize(obj, restarts=6, seed=1, extra_candidates=geom.candidates)
+    assert res.certified_upper is None and "not finite" in res.certified_upper_reason
+    assert res.starts == 7 and len(res.restart_values) == 6
+    assert res.value == rep.lhs and res.converged

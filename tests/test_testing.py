@@ -41,6 +41,7 @@ from sparselab import (
     lp_norm,
     lsu_check,
     lsu_testing_sums,
+    make_instance,
     verify_thm42,
 )
 from sparselab import testing_T as _testing_T
@@ -253,3 +254,35 @@ def test_thm42_skips_dual_when_r_large():
     rep_t, rep_tstar = verify_thm42(CHAIN1, cfg, LEBESGUE, LEBESGUE)
     assert rep_tstar is None
     assert rep_t.tag == "thm42-T"
+
+
+def _suite_report(suite, i):
+    inst = make_instance(suite, 7, i)
+    if suite == "prop31":
+        return inst, check_prop31(inst.family, inst.cfg, inst.omega, inst.sigma, seed=i)
+    if suite == "lemma32":
+        coefs = inst.extras["coefs"]
+        return inst, check_lemma32(inst.family, inst.cfg, coefs, inst.omega, inst.sigma, seed=i)
+    op = PositiveDyadicOperator(inst.family, inst.extras["taus"])
+    return inst, lsu_check(op, inst.extras["p"], inst.extras["q"], inst.omega, inst.sigma, seed=i)
+
+
+@pytest.mark.parametrize("suite", ["prop31", "lemma32", "lemma34"])
+def test_certified_upper_bounds_every_bracketed_row(suite):
+    # p = q with r <= q: the solver's sides carry a Collatz-Wielandt bound, never below them
+    covered = 0
+    for i in range(100):
+        inst, rep = _suite_report(suite, i)
+        cfg = inst.cfg or ExponentConfig(inst.extras["p"], inst.extras["q"], 1.0, 1.0)
+        upper = rep.extras["certified_upper"]
+        if suite == "lemma32":  # both sides are solved
+            sides, bounds = (rep.lhs, rep.rhs), upper
+        else:
+            sides, bounds = (rep.lhs,), (upper,)
+        for side, bound in zip(sides, bounds):
+            if cfg.p == cfg.q and cfg.r <= cfg.q:
+                covered += 1
+                assert bound is not None and side <= bound, f"instance {i}"
+            else:
+                assert bound is None, f"instance {i}"
+    assert covered == (100 if suite == "lemma32" else 50)
