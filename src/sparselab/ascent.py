@@ -136,7 +136,7 @@ ROUNDING_SLACK = 1e-12
 class AscentResult:
     value: float
     maximizer: np.ndarray
-    iterations: int
+    iterations: int  # fixed-point passes, a rejected constant start's included
     converged: bool
     residual: float
     restart_values: np.ndarray
@@ -188,25 +188,27 @@ def maximize(
     as on every other objective, `restarts` starts are drawn per atom
     log-uniformly from [1e-3, 1e3] with a seeded generator, so identical
     (seed, opts) reproduce bitwise; `certified_upper` is then None and
-    `certified_upper_reason` says why. `iterations` counts the passes of the
-    starts whose endpoints are reported. restarts = 0 sweeps the candidates only.
+    `certified_upper_reason` says why. `iterations` counts the passes of both
+    phases, a rejected constant start included. restarts = 0 sweeps the
+    candidates only.
     """
     if not objective.s > 1.0:
         raise ParameterError(f"the fixed-point step needs s > 1, got {objective.s}")
     reason = _bracket_reason(objective)
     if reason is None and restarts == 0:
         reason = "restarts = 0: no start was run"
-    rejected = 0
+    starts, iterations = 0, 0  # of a rejected constant start
     if reason is None:
         single = _solve(objective, np.ones((1, objective.n_atoms)), max_iters, tol,
                         extra_candidates, certify=True)
         if single.certified_upper is not None:
             return single
-        reason, rejected = single.certified_upper_reason, 1
+        reason, starts, iterations = single.certified_upper_reason, single.starts, single.iterations
     rng = np.random.default_rng(seed)
     f = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(restarts, objective.n_atoms)))
     res = _solve(objective, f, max_iters, tol, extra_candidates, certify=False)
-    return replace(res, starts=res.starts + rejected, certified_upper_reason=reason)
+    return replace(res, starts=res.starts + starts, iterations=res.iterations + iterations,
+                   certified_upper_reason=reason)
 
 
 def _solve(

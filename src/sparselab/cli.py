@@ -1,16 +1,22 @@
 """Command line interface.
 
 Five subcommands: `char`, `opnorm`, `testing`, `verify`, `sharpness`.
-Every run prints a JSON report to stdout and writes a CSV artifact into
-the output directory (``--out``, overridden by the ``SPARSELAB_OUT``
-environment variable). All floating output is rounded to 12 significant
-digits and CSV files use LF line endings, so identical inputs produce
-bitwise-identical artifacts; wall-clock timing is reported separately
-and is the only nondeterministic field.
+Each reads its numbers from one library call: `char` from the
+characteristic triple shared with the checks, `opnorm` from
+`testing.check_thm11`, `testing` from `testing.check_prop31`, `verify`
+from `suites.run_suite` and `sharpness` from `sharpness.sweep`; the
+three instance commands share the instance loader. One runner then
+digests the command's input, writes its CSV artifact into the output
+directory (``--out``, overridden by the ``SPARSELAB_OUT`` environment
+variable) and prints its JSON report to stdout. All floating output is
+rounded to 12 significant digits and CSV files use LF line endings, so
+identical inputs produce bitwise-identical artifacts; wall-clock timing
+is reported separately and is the only nondeterministic field.
 
 Exit codes: 0 success, 2 unreadable or malformed instance file (also
-argparse usage errors), 3 invalid parameters, 4 degenerate instance,
-5 baseline or invariant violation.
+argparse usage errors), 3 invalid parameters (infeasible exponents are
+rejected by `char` only), 4 degenerate instance, 5 a `verify` ratio
+window outside its frozen baseline, or a per-row invariant failure.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -41,18 +49,9 @@ from .errors import (
 )
 from .instances import SUITES
 from .sharpness import SharpnessConfig, expected_slope, fit_slope, sweep
-from .sparse import estimate_opnorm, rhs_branch, theorem_rhs
 from .suites import run_suite
-from .testing import _default_depth, check_prop31, testing_T, testing_Tstar
-from .weights import (
-    ExponentConfig,
-    PiecewiseWeight,
-    PowerWeight,
-    ainfty,
-    feasibility,
-    one_weight_apq,
-    two_weight_char,
-)
+from .testing import _characteristics, check_prop31, check_thm11
+from .weights import ExponentConfig, PiecewiseWeight, PowerWeight, feasibility, one_weight_apq
 
 
 # ---------------------------------------------------------------- instance IO
@@ -203,30 +202,10 @@ def _round12(obj, non_finite: list, key: str = ""):
     return obj
 
 
-def _digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _outdir(args) -> Path:
-    out = os.environ.get("SPARSELAB_OUT") or args.out or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _cell(value) -> str:
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
-
-
-def _write_csv(path: Path, note: str, digest: str, header: str, rows) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(f"# sparselab {note}; input sha256:{digest[:16]}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def _emit(report: dict, elapsed: float) -> None:
@@ -249,12 +228,12 @@ def _char_report(rep) -> dict:
     }
 
 
-def _resolve_depth(args, inst: ParsedInstance) -> int:
-    if getattr(args, "depth", None) is not None:
+def _depth_option(args, inst: ParsedInstance) -> Optional[int]:
+    """A_infty scan depth from --depth or the instance file; None for the default."""
+    if args.depth is not None:
         return args.depth
-    if inst.options.get("depth") is not None:
-        return int(inst.options["depth"])
-    return _default_depth(inst.family, inst.omega, inst.sigma)
+    depth = inst.options.get("depth")
+    return None if depth is None else int(depth)
 
 
 def _solver_options(args, inst: ParsedInstance) -> dict:
@@ -269,19 +248,43 @@ def _solver_options(args, inst: ParsedInstance) -> dict:
     }
 
 
+@dataclass(frozen=True, eq=False)
+class _Artifact:
+    """What a command publishes: the input it digests, its CSV and its JSON report."""
+
+    source: object  # canonical input; its digest heads the CSV and the report
+    csv_name: str
+    note: str
+    header: str
+    rows: list
+    report: dict
+    code: int = EXIT_OK
+
+
 # ---------------------------------------------------------------- commands
 
 
-def cmd_char(args) -> int:
-    start = time.perf_counter()
+def _on_instance(compute, args) -> _Artifact:
+    """Load --instance and run compute(args, inst) -> (note, values, rows) on it."""
     inst = load_instance(args.instance)
+    note, values, rows = compute(args, inst)
+    return _Artifact(
+        inst.raw,
+        f"{args.command}_{Path(args.instance).stem}.csv",
+        note,
+        "quantity,value",
+        rows,
+        {"instance": str(args.instance), "values": values},
+    )
+
+
+def cmd_char(args, inst: ParsedInstance) -> tuple[str, dict, list]:
     feas = feasibility(inst.cfg)
     if not feas.feasible:
         raise ParameterError(feas.diagnostic)
-    depth = _resolve_depth(args, inst)
-    char = two_weight_char(inst.omega, inst.sigma, inst.cfg, inst.family)
-    a_om = ainfty(inst.omega, depth=depth)
-    a_sig = ainfty(inst.sigma, depth=depth)
+    depth, char, a_sig, a_om = _characteristics(
+        inst.family, inst.cfg, inst.omega, inst.sigma, _depth_option(args, inst)
+    )
     try:
         apq = one_weight_apq(inst.omega, inst.cfg.p, inst.cfg.q, depth=depth)
         apq_value: Optional[float] = apq.value
@@ -304,9 +307,6 @@ def cmd_char(args) -> int:
         },
         "depth": depth,
     }
-    digest = _digest(inst.raw)
-    outdir = _outdir(args)
-    csv_path = outdir / f"char_{Path(args.instance).stem}.csv"
     rows = [
         ("two-weight-char", char.value),
         ("ainfty-omega", a_om.value),
@@ -314,98 +314,56 @@ def cmd_char(args) -> int:
         ("one-weight-apq-omega", math.nan if apq_value is None else apq_value),
         ("feasibility-defect", feas.defect),
     ]
-    _write_csv(csv_path, "char; dimensionless", digest, "quantity,value", rows)
-    _emit(
-        {
-            "command": "char",
-            "instance": str(args.instance),
-            "digest": digest,
-            "values": values,
-            "csv": str(csv_path),
-        },
-        time.perf_counter() - start,
+    return "char; dimensionless", values, rows
+
+
+def cmd_opnorm(args, inst: ParsedInstance) -> tuple[str, dict, list]:
+    rep = check_thm11(
+        inst.family, inst.cfg, inst.omega, inst.sigma, _depth_option(args, inst),
+        **_solver_options(args, inst),
     )
-    return EXIT_OK
+    extras = rep.extras
+    values = {
+        "estimate": rep.lhs,
+        "certified_lower": extras["certified_lower"],
+        "certified_upper": extras["certified_upper"],
+        "certified_upper_reason": extras["certified_upper_reason"],
+        "starts": extras["starts"],
+        "characteristic": extras["characteristic"],
+        "theorem_rhs": rep.rhs,
+        "rhs_branch": extras["rhs_branch"],
+        "ratio_lower_over_estimate": extras["lower_ratio"],
+        "ratio_estimate_over_rhs": rep.ratio,
+        "converged": extras["converged"],
+        "residual": extras["residual"],
+        "iterations": extras["iterations"],
+        "depth": extras["depth"],
+    }
+    rows = [
+        ("estimate", rep.lhs),
+        ("certified-lower", extras["certified_lower"]),
+        ("characteristic", extras["characteristic"]),
+        ("theorem-rhs", rep.rhs),
+        ("ratio-lower-over-estimate", extras["lower_ratio"]),
+        ("ratio-estimate-over-rhs", rep.ratio),
+    ]
+    return "opnorm; operator norms", values, rows
 
 
-def cmd_opnorm(args) -> int:
-    start = time.perf_counter()
-    inst = load_instance(args.instance)
-    est = estimate_opnorm(
+def cmd_testing(args, inst: ParsedInstance) -> tuple[str, dict, list]:
+    rep = check_prop31(
         inst.family, inst.cfg, inst.omega, inst.sigma, **_solver_options(args, inst)
     )
-    depth = _resolve_depth(args, inst)
-    char = two_weight_char(inst.omega, inst.sigma, inst.cfg, inst.family).value
-    a_sig = ainfty(inst.sigma, depth=depth).value
-    a_om = ainfty(inst.omega, depth=depth).value
-    rhs = theorem_rhs(inst.cfg, char, a_sig, a_om)
-    values = {
-        "estimate": est.ascent_value,
-        "certified_lower": est.certified_lower,
-        "certified_upper": est.certified_upper,
-        "certified_upper_reason": est.certified_upper_reason,
-        "starts": est.restarts,
-        "characteristic": char,
-        "theorem_rhs": rhs,
-        "rhs_branch": rhs_branch(inst.cfg),
-        "ratio_lower_over_estimate": est.certified_lower / est.ascent_value,
-        "ratio_estimate_over_rhs": est.ascent_value / rhs,
-        "converged": est.converged,
-        "residual": est.residual,
-        "iterations": est.iterations,
-        "depth": depth,
-    }
-    digest = _digest(inst.raw)
-    outdir = _outdir(args)
-    csv_path = outdir / f"opnorm_{Path(args.instance).stem}.csv"
-    rows = [
-        ("estimate", est.ascent_value),
-        ("certified-lower", est.certified_lower),
-        ("characteristic", char),
-        ("theorem-rhs", rhs),
-        ("ratio-lower-over-estimate", values["ratio_lower_over_estimate"]),
-        ("ratio-estimate-over-rhs", values["ratio_estimate_over_rhs"]),
-    ]
-    _write_csv(csv_path, "opnorm; operator norms", digest, "quantity,value", rows)
-    _emit(
-        {
-            "command": "opnorm",
-            "instance": str(args.instance),
-            "digest": digest,
-            "values": values,
-            "csv": str(csv_path),
-        },
-        time.perf_counter() - start,
-    )
-    return EXIT_OK
-
-
-def cmd_testing(args) -> int:
-    start = time.perf_counter()
-    inst = load_instance(args.instance)
-    cfg = inst.cfg
-    t_val = testing_T(inst.family, cfg, inst.omega, inst.sigma)
-    if cfg.p > cfg.r:
-        tstar: Optional[float] = testing_Tstar(inst.family, cfg, inst.omega, inst.sigma)
-        tstar_note = ""
-    else:
-        tstar = None
-        tstar_note = "dual testing constant undefined for p <= r"
-    rep = check_prop31(
-        inst.family, cfg, inst.omega, inst.sigma, **_solver_options(args, inst)
-    )
+    t_val, tstar = rep.extras["testing_T"], rep.extras["testing_Tstar"]
     values = {
         "testing_T": t_val,
         "testing_Tstar": tstar,
-        "tstar_note": tstar_note,
+        "tstar_note": "" if tstar is not None else "dual testing constant undefined for p <= r",
         "opnorm_power_r": rep.lhs,
         "testing_bound": rep.rhs,
         "ratio": rep.ratio,
-        "branch": rep.extras.get("branch", ""),
+        "branch": rep.extras["branch"],
     }
-    digest = _digest(inst.raw)
-    outdir = _outdir(args)
-    csv_path = outdir / f"testing_{Path(args.instance).stem}.csv"
     rows = [
         ("testing-T", t_val),
         ("testing-Tstar", math.nan if tstar is None else tstar),
@@ -413,35 +371,13 @@ def cmd_testing(args) -> int:
         ("testing-bound", rep.rhs),
         ("ratio", rep.ratio),
     ]
-    _write_csv(csv_path, "testing; local testing constants", digest, "quantity,value", rows)
-    _emit(
-        {
-            "command": "testing",
-            "instance": str(args.instance),
-            "digest": digest,
-            "values": values,
-            "csv": str(csv_path),
-        },
-        time.perf_counter() - start,
-    )
-    return EXIT_OK
+    return "testing; local testing constants", values, rows
 
 
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
+def cmd_verify(args) -> _Artifact:
     result = run_suite(args.suite, seed=args.seed, trials=args.trials)
     window = result.ratio_window
-    digest = _digest({"suite": args.suite, "seed": args.seed, "trials": args.trials})
-    outdir = _outdir(args)
-    csv_path = outdir / f"verify_{args.suite}_seed{args.seed}_trials{args.trials}.csv"
-    _write_csv(
-        csv_path,
-        f"verify {args.suite}; ratio = lhs/rhs",
-        digest,
-        "instance-id,lhs,rhs,ratio",
-        [(r.instance_id, r.lhs, r.rhs, r.ratio) for r in result.rows],
-    )
-    code = EXIT_OK
+    code = EXIT_BASELINE if result.failures else EXIT_OK
     if args.refresh_baselines:
         try:
             windows = load_baselines()
@@ -457,29 +393,27 @@ def cmd_verify(args) -> int:
         except BaselineViolationError as err:
             baseline_status = str(err)
             code = EXIT_BASELINE
-    if result.failures:
-        code = EXIT_BASELINE
-    _emit(
+    return _Artifact(
+        {"suite": args.suite, "seed": args.seed, "trials": args.trials},
+        f"verify_{args.suite}_seed{args.seed}_trials{args.trials}.csv",
+        f"verify {args.suite}; ratio = lhs/rhs",
+        "instance-id,lhs,rhs,ratio",
+        [(r.instance_id, r.lhs, r.rhs, r.ratio) for r in result.rows],
         {
-            "command": "verify",
             "suite": args.suite,
             "seed": args.seed,
             "trials": args.trials,
-            "digest": digest,
             "rows": len(result.rows),
             "ratio_min": window[0],
             "ratio_max": window[1],
             "failures": list(result.failures),
             "baseline": baseline_status,
-            "csv": str(csv_path),
         },
-        time.perf_counter() - start,
+        code,
     )
-    return code
 
 
-def cmd_sharpness(args) -> int:
-    start = time.perf_counter()
+def cmd_sharpness(args) -> _Artifact:
     if args.eps_min_exp > args.eps_max_exp:
         raise ParameterError("--eps-min-exp must not exceed --eps-max-exp")
     grid = tuple(2.0**-k for k in range(args.eps_min_exp, args.eps_max_exp + 1))
@@ -489,7 +423,7 @@ def cmd_sharpness(args) -> int:
     rows = sweep(config)
     fit = fit_slope(rows, window=min(4, len(rows)))
     expected = expected_slope(args.p, args.q, args.alpha, args.variant)
-    digest = _digest(
+    return _Artifact(
         {
             "variant": args.variant,
             "p": args.p,
@@ -497,26 +431,15 @@ def cmd_sharpness(args) -> int:
             "alpha": args.alpha,
             "eps_min_exp": args.eps_min_exp,
             "eps_max_exp": args.eps_max_exp,
-        }
-    )
-    outdir = _outdir(args)
-    csv_path = outdir / (
+        },
         f"sharpness_{args.variant}_p{args.p:g}_q{args.q:g}"
-        f"_e{args.eps_min_exp}-{args.eps_max_exp}.csv"
-    )
-    _write_csv(
-        csv_path,
+        f"_e{args.eps_min_exp}-{args.eps_max_exp}.csv",
         f"sharpness {args.variant}; ratio = norm quotient",
-        digest,
         "eps,K,characteristic,ratio,tail-bound",
         [(r.eps, r.k_top, r.char, r.ratio, r.tail_bound) for r in rows],
-    )
-    _emit(
         {
-            "command": "sharpness",
             "variant": args.variant,
             "exponents": {"p": args.p, "q": args.q, "alpha": args.alpha},
-            "digest": digest,
             "rows": len(rows),
             "fitted_slope": fit.slope,
             "expected_slope": expected,
@@ -524,11 +447,8 @@ def cmd_sharpness(args) -> int:
             "fit_window_eps": list(fit.eps_window),
             "max_fit_residual": fit.max_residual,
             "max_tail_bound": max(r.tail_bound for r in rows),
-            "csv": str(csv_path),
         },
-        time.perf_counter() - start,
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- entrypoint
@@ -541,24 +461,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, instance=False):
+    for name, compute, text in (
+        ("char", cmd_char, "weight characteristics and exponent feasibility"),
+        ("opnorm", cmd_opnorm, "operator-norm estimate with certified lower bound"),
+        ("testing", cmd_testing, "local testing constants and the norm comparison"),
+    ):
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--out", default=None, help="output directory for CSV artifacts")
-        if instance:
-            sp.add_argument("--instance", required=True, help="instance JSON file")
-            sp.add_argument("--seed", type=int, default=None, help="solver seed override")
-            sp.add_argument("--depth", type=int, default=None, help="dyadic scan depth")
-
-    sp = sub.add_parser("char", help="weight characteristics and exponent feasibility")
-    add_common(sp, instance=True)
-    sp.set_defaults(func=cmd_char)
-
-    sp = sub.add_parser("opnorm", help="operator-norm estimate with certified lower bound")
-    add_common(sp, instance=True)
-    sp.set_defaults(func=cmd_opnorm)
-
-    sp = sub.add_parser("testing", help="local testing constants and the norm comparison")
-    add_common(sp, instance=True)
-    sp.set_defaults(func=cmd_testing)
+        sp.add_argument("--instance", required=True, help="instance JSON file")
+        sp.add_argument("--seed", type=int, default=None, help="solver seed override")
+        sp.add_argument("--depth", type=int, default=None, help="dyadic scan depth")
+        sp.set_defaults(func=partial(_on_instance, compute))
 
     sp = sub.add_parser("verify", help="seeded ratio suites against frozen baselines")
     sp.add_argument("--suite", required=True, choices=list(SUITES))
@@ -584,11 +497,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run the command, then digest its input, write its CSV and print its JSON report."""
+    start = time.perf_counter()
+    art = args.func(args)
+    blob = json.dumps(art.source, sort_keys=True, separators=(",", ":")).encode()
+    digest = hashlib.sha256(blob).hexdigest()
+    outdir = Path(os.environ.get("SPARSELAB_OUT") or args.out or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    csv_path = outdir / art.csv_name
+    with open(csv_path, "w", encoding="ascii", newline="") as fh:
+        fh.write(f"# sparselab {art.note}; input sha256:{digest[:16]}\n")
+        fh.write(art.header + "\n")
+        for row in art.rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+    _emit(
+        dict(art.report, command=args.command, digest=digest, csv=str(csv_path)),
+        time.perf_counter() - start,
+    )
+    return art.code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except InstanceParseError as err:
         _fail("parse", err)
         return EXIT_PARSE

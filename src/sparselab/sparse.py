@@ -72,12 +72,11 @@ def _objective(
     return obj, sig_q
 
 
-def _require_sigma_mass(geom: FamilyGeometry, sig_q: np.ndarray) -> None:
-    zero = np.flatnonzero(sig_q <= 0.0)
-    if len(zero):
-        raise DegenerateInstanceError(
-            f"sigma has zero mass on member {geom.family.members[zero[0]]}"
-        )
+def _require_mass(geom: FamilyGeometry, member_masses: np.ndarray, name: str) -> None:
+    """Raise DegenerateInstanceError naming the weight and its first massless member."""
+    if np.any(member_masses <= 0.0):
+        member = geom.family.members[int(np.argmax(member_masses <= 0.0))]
+        raise DegenerateInstanceError(f"{name} has zero mass on member {member}")
 
 
 def indicator_lower_bound(
@@ -99,7 +98,7 @@ def indicator_lower_bound(
     """
     geom = FamilyGeometry(family, part)
     obj, sig_q = _objective(geom, cfg, omega, sigma)
-    _require_sigma_mass(geom, sig_q)
+    _require_mass(geom, sig_q, "sigma")
     return float(np.max(obj.value(geom.candidates)[: len(sig_q)]))
 
 
@@ -163,7 +162,7 @@ def _estimate(
     the solver sweeps (the incidence rows of `geom.candidates`).
     """
     obj, sig_q = _objective(geom, cfg, omega, sigma)
-    _require_sigma_mass(geom, sig_q)
+    _require_mass(geom, sig_q, "sigma")
     res = maximize(obj, extra_candidates=geom.candidates, **opts)
     return OpNormEstimate(
         certified_lower=float(np.max(res.candidate_values[: len(sig_q)])),

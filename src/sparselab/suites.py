@@ -1,10 +1,11 @@
 """Seeded ratio suites driving the comparability checks in bulk.
 
 Each trial draws a deterministic random instance and records one row
-(lhs, rhs, ratio); the testing-constant suite records one row per
-constant. Conditions that are exact theorems rather than
-implied-constant statements are enforced per row and reported as
-failures. Observed ratio windows are meant to be compared against the
+(lhs, rhs, ratio) from the check's ComparabilityReport; the
+testing-constant suite records one row per constant. Conditions that
+are exact theorems rather than implied-constant statements are enforced
+per row and reported as failures that name the suite, seed and
+instance. Observed ratio windows are meant to be compared against the
 frozen baselines (see the baselines module).
 """
 
@@ -16,19 +17,19 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .instances import SUITES, RandomInstance, make_instance
-from .sparse import estimate_opnorm, theorem_rhs
 from .stopping import build_principal_cubes, principal_sum_bound
 from .testing import (
+    ComparabilityReport,
     PositiveDyadicOperator,
-    _default_depth,
+    _report,
     check_lemma32,
     check_lemma41,
     check_lemma43,
     check_prop31,
+    check_thm11,
     lsu_check,
     verify_thm42,
 )
-from .weights import ainfty, two_weight_char
 
 SANDWICH_TOL = 1e-12
 
@@ -58,102 +59,89 @@ class SuiteResult:
         return min(ratios), max(ratios)
 
 
-def _row(instance_id: str, lhs: float, rhs: float) -> SuiteRow:
-    lhs, rhs = float(lhs), float(rhs)
-    ratio = lhs / rhs if rhs > 0.0 else 0.0
-    return SuiteRow(instance_id, lhs, rhs, ratio)
+def _row(instance_id: str, rep: ComparabilityReport) -> SuiteRow:
+    return SuiteRow(instance_id, float(rep.lhs), float(rep.rhs), float(rep.ratio))
 
 
-def _rows_prop31(inst: RandomInstance, failures):
+# Each runner returns the instance's rows and the reasons it failed an
+# exact per-row condition; run_suite names the suite, seed and instance.
+
+
+def _rows_prop31(inst: RandomInstance):
     rep = check_prop31(
         inst.family, inst.cfg, inst.omega, inst.sigma, seed=inst.index
     )
-    return [_row(str(inst.index), rep.lhs, rep.rhs)]
+    return [_row(str(inst.index), rep)], []
 
 
-def _rows_lemma32(inst: RandomInstance, failures):
+def _rows_lemma32(inst: RandomInstance):
     rep = check_lemma32(
         inst.family, inst.cfg, inst.extras["coefs"], inst.omega, inst.sigma,
         seed=inst.index,
     )
-    return [_row(str(inst.index), rep.lhs, rep.rhs)]
+    return [_row(str(inst.index), rep)], []
 
 
-def _rows_lemma34(inst: RandomInstance, failures):
+def _rows_lemma34(inst: RandomInstance):
     op = PositiveDyadicOperator(inst.family, inst.extras["taus"])
     rep = lsu_check(
         op, inst.extras["p"], inst.extras["q"], inst.omega, inst.sigma,
         seed=inst.index,
     )
-    return [_row(str(inst.index), rep.lhs, rep.rhs)]
+    return [_row(str(inst.index), rep)], []
 
 
-def _rows_lemma41(inst: RandomInstance, failures):
+def _rows_lemma41(inst: RandomInstance):
     p = inst.extras["p"]
     rep = check_lemma41(inst.family, inst.extras["coefs"], inst.sigma, p)
-    if p == 2.0:
-        # exactly two-sided at p = 2
-        if not 1.0 - 1e-9 <= rep.ratio <= math.sqrt(2.0) + 1e-9:
-            failures.append(
-                f"instance {inst.index}: p=2 ratio {rep.ratio} outside [1, sqrt 2]"
-            )
-    return [_row(str(inst.index), rep.lhs, rep.rhs)]
+    reasons = []
+    # exactly two-sided at p = 2
+    if p == 2.0 and not 1.0 - 1e-9 <= rep.ratio <= math.sqrt(2.0) + 1e-9:
+        reasons.append(f"p=2 ratio {rep.ratio} outside [1, sqrt 2]")
+    return [_row(str(inst.index), rep)], reasons
 
 
-def _rows_lemma43(inst: RandomInstance, failures):
+def _rows_lemma43(inst: RandomInstance):
     query = inst.extras["query"]
     rep = check_lemma43(
         inst.family, inst.omega, inst.sigma, query, inst.extras["top"]
     )
+    reasons = []
+    # the packed sum contains the reference term itself
     if query.a > 0.0 and rep.ratio < 1.0 - SANDWICH_TOL:
-        # the packed sum contains the reference term itself
-        failures.append(
-            f"instance {inst.index}: packed sum below its own top term"
-        )
-    return [_row(str(inst.index), rep.lhs, rep.rhs)]
+        reasons.append("packed sum below its own top term")
+    return [_row(str(inst.index), rep)], reasons
 
 
-def _rows_principal(inst: RandomInstance, failures):
+def _rows_principal(inst: RandomInstance):
     stopping = build_principal_cubes(inst.family, inst.extras["f"], inst.sigma)
     bound = principal_sum_bound(stopping, inst.extras["f"], inst.sigma, inst.extras["p"])
-    lhs = bound["max_pointwise_ratio"]
-    if lhs > 1.0 + SANDWICH_TOL:
-        failures.append(
-            f"instance {inst.index}: pointwise principal sum exceeds the exact bound"
-        )
-    return [_row(str(inst.index), lhs, 1.0)]
+    rep = _report(
+        "principal", bound["max_pointwise_ratio"], 1.0, "pointwise ratio to the exact bound"
+    )
+    reasons = []
+    if rep.lhs > 1.0 + SANDWICH_TOL:
+        reasons.append("pointwise principal sum exceeds the exact bound")
+    return [_row(str(inst.index), rep)], reasons
 
 
-def _rows_thm42(inst: RandomInstance, failures):
+def _rows_thm42(inst: RandomInstance):
     rep_t, rep_s = verify_thm42(inst.family, inst.cfg, inst.omega, inst.sigma)
-    rows = [_row(f"{inst.index}/T", rep_t.lhs, rep_t.rhs)]
+    rows = [_row(f"{inst.index}/T", rep_t)]
     if rep_s is not None:
-        rows.append(_row(f"{inst.index}/Tstar", rep_s.lhs, rep_s.rhs))
-    return rows
+        rows.append(_row(f"{inst.index}/Tstar", rep_s))
+    return rows, []
 
 
-def _rows_thm11(inst: RandomInstance, failures):
-    cfg = inst.cfg
-    est = estimate_opnorm(
-        inst.family, cfg, inst.omega, inst.sigma, seed=inst.index
-    )
-    char = two_weight_char(inst.omega, inst.sigma, cfg, inst.family).value
-    if est.certified_lower < char * (1.0 - SANDWICH_TOL):
-        failures.append(
-            f"instance {inst.index}: certified lower bound fell below the characteristic"
-        )
-    if est.ascent_value < est.certified_lower * (1.0 - SANDWICH_TOL):
-        failures.append(
-            f"instance {inst.index}: estimate fell below the certified bound"
-        )
-    depth = _default_depth(inst.family, inst.omega, inst.sigma)
-    rhs = theorem_rhs(
-        cfg,
-        char,
-        ainfty(inst.sigma, depth=depth).value,
-        ainfty(inst.omega, depth=depth).value,
-    )
-    return [_row(str(inst.index), est.ascent_value, rhs)]
+def _rows_thm11(inst: RandomInstance):
+    rep = check_thm11(inst.family, inst.cfg, inst.omega, inst.sigma, seed=inst.index)
+    lower = rep.extras["certified_lower"]
+    reasons = []
+    if lower < rep.extras["characteristic"] * (1.0 - SANDWICH_TOL):
+        reasons.append("certified lower bound fell below the characteristic")
+    if rep.lhs < lower * (1.0 - SANDWICH_TOL):
+        reasons.append("estimate fell below the certified bound")
+    return [_row(str(inst.index), rep)], reasons
 
 
 _RUNNERS = {
@@ -181,12 +169,14 @@ def run_suite(suite: str, seed: int = 7, trials: int = 100) -> SuiteResult:
     start = time.perf_counter()
     for index in range(trials):
         inst = make_instance(suite, seed, index)
-        for row in runner(inst, failures):
+        inst_rows, reasons = runner(inst)
+        for row in inst_rows:
             if not (math.isfinite(row.lhs) and math.isfinite(row.rhs)):
-                failures.append(f"instance {row.instance_id}: non-finite value")
+                reasons.append(f"non-finite value in row {row.instance_id}")
             elif row.rhs > 0.0 and row.ratio <= 0.0:
-                failures.append(f"instance {row.instance_id}: vanishing ratio")
-            rows.append(row)
+                reasons.append(f"vanishing ratio in row {row.instance_id}")
+        failures += [f"{suite} seed {seed} instance {index}: {reason}" for reason in reasons]
+        rows += inst_rows
     elapsed = time.perf_counter() - start
     return SuiteResult(
         suite=suite,

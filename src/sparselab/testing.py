@@ -17,8 +17,8 @@ import numpy as np
 
 from .ascent import CubeObjective, maximize
 from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily, interval_arrays
-from .errors import DegenerateInstanceError, ParameterError
-from .sparse import _estimate
+from .errors import ParameterError
+from .sparse import _estimate, _require_mass, estimate_opnorm, rhs_branch, theorem_rhs
 from .weights import (
     ExponentConfig,
     PiecewiseWeight,
@@ -39,18 +39,26 @@ class ComparabilityReport:
     extras: dict = field(default_factory=dict)
 
 
+def _ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs, and 0 where rhs vanishes: the ratio rule of every report."""
+    return lhs / rhs if rhs > 0.0 else 0.0
+
+
 def _report(tag, lhs, rhs, descriptor, **extras) -> ComparabilityReport:
     trivial = lhs == 0.0 or rhs == 0.0
-    ratio = lhs / rhs if rhs > 0.0 else 0.0
     return ComparabilityReport(
         tag=tag,
         lhs=lhs,
         rhs=rhs,
-        ratio=ratio,
+        ratio=_ratio(lhs, rhs),
         descriptor=descriptor,
         trivial=trivial,
         extras=extras,
     )
+
+
+def _describe(family: SparseFamily, cfg: ExponentConfig) -> str:
+    return f"family of {len(family)}, exponents ({cfg.p}, {cfg.q}, {cfg.r}, {cfg.alpha})"
 
 
 def _local_norms(
@@ -59,11 +67,6 @@ def _local_norms(
     """|| sum_{Q <= R} coefs_Q 1_Q ||_{L^exponent} on atoms, one entry per member R."""
     local = (geom.contains * coefs) @ geom.incidence
     return (local**exponent @ atom_masses) ** (1.0 / exponent)
-
-
-def _positive(member_masses: np.ndarray, name: str) -> None:
-    if np.any(member_masses <= 0.0):
-        raise DegenerateInstanceError(f"{name} vanishes on a family member")
 
 
 def testing_T(
@@ -79,7 +82,7 @@ def _testing_T(
 ) -> float:
     om_atom, _ = omega_masses
     _, sig_q = sigma_masses
-    _positive(sig_q, "sigma")
+    _require_mass(geom, sig_q, "sigma")
     coefs = geom.length_powers(-cfg.alpha * cfg.r) * sig_q**cfg.r
     norms = _local_norms(geom, coefs, om_atom, cfg.q / cfg.r)
     return float(np.max(sig_q ** (-cfg.r / cfg.p) * norms))
@@ -104,8 +107,8 @@ def _testing_Tstar(
 ) -> float:
     _, om_q = omega_masses
     sig_atom, sig_q = sigma_masses
-    _positive(sig_q, "sigma")
-    _positive(om_q, "omega")
+    _require_mass(geom, sig_q, "sigma")
+    _require_mass(geom, om_q, "omega")
     coefs = geom.length_powers(-cfg.alpha * cfg.r) * sig_q ** (cfg.r - 1.0) * om_q
     tr = cfg.q / cfg.r
     tr_conj = tr / (tr - 1.0)
@@ -130,6 +133,7 @@ def check_prop31(
     `restarts` seeded starts elsewhere and where the bracket fails.
     `certified_upper` is the estimate's Collatz-Wielandt bound to the r, an
     upper bound on lhs, or None where the bracket does not apply or fails.
+    The extras also carry `testing_T` and `testing_Tstar` (None when r >= p).
     """
     geom = FamilyGeometry(family)
     est = _estimate(
@@ -138,8 +142,10 @@ def check_prop31(
     )
     masses = geom.masses(omega), geom.masses(sigma)
     t_val = _testing_T(geom, cfg, *masses)
+    tstar = None
     if cfg.r < cfg.p:
-        rhs = t_val + _testing_Tstar(geom, cfg, *masses)
+        tstar = _testing_Tstar(geom, cfg, *masses)
+        rhs = t_val + tstar
         branch = "r < p: sum of both testing constants"
     else:
         rhs = t_val
@@ -148,11 +154,56 @@ def check_prop31(
         "prop31",
         est.ascent_value**cfg.r,
         rhs,
-        f"family of {len(family)}, exponents ({cfg.p}, {cfg.q}, {cfg.r}, {cfg.alpha})",
+        _describe(family, cfg),
         branch=branch,
         converged=est.converged,
         residual=est.residual,
         certified_upper=None if est.certified_upper is None else est.certified_upper**cfg.r,
+        testing_T=t_val,
+        testing_Tstar=tstar,
+    )
+
+
+def check_thm11(
+    family: SparseFamily,
+    cfg: ExponentConfig,
+    omega: Weight,
+    sigma: Weight,
+    ainfty_depth: Optional[int] = None,
+    restarts: int = 16,
+    max_iters: int = 5000,
+    tol: float = 1e-8,
+    seed: int = 0,
+) -> ComparabilityReport:
+    """Operator-norm estimate against the mixed-characteristic bound (Theorem 1.1).
+
+    lhs is `estimate_opnorm`, rhs is `theorem_rhs` with the A_infty scans run
+    to `ainfty_depth` (default `_default_depth`). The extras carry the
+    characteristics, the scan depth, the branch, the estimate's diagnostics
+    and `lower_ratio` = certified_lower / estimate under the report rule.
+    """
+    est = estimate_opnorm(
+        family, cfg, omega, sigma, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed
+    )
+    depth, char, a_sig, a_om = _characteristics(family, cfg, omega, sigma, ainfty_depth)
+    return _report(
+        "thm11",
+        est.ascent_value,
+        theorem_rhs(cfg, char.value, a_sig.value, a_om.value),
+        _describe(family, cfg),
+        characteristic=char.value,
+        ainfty_sigma=a_sig.value,
+        ainfty_omega=a_om.value,
+        depth=depth,
+        rhs_branch=rhs_branch(cfg),
+        certified_lower=est.certified_lower,
+        certified_upper=est.certified_upper,
+        certified_upper_reason=est.certified_upper_reason,
+        starts=est.restarts,
+        iterations=est.iterations,
+        converged=est.converged,
+        residual=est.residual,
+        lower_ratio=_ratio(est.certified_lower, est.ascent_value),
     )
 
 
@@ -184,12 +235,10 @@ def check_lemma32(
     geom = FamilyGeometry(family)
     om_atom, _ = geom.masses(omega)
     sig_atom, sig_q = geom.masses(sigma)
-    _positive(sig_q, "sigma")
+    _require_mass(geom, sig_q, "sigma")
     desc = f"family of {len(family)}, exponents ({cfg.p}, {cfg.q}, {cfg.r})"
     if not np.any(coefs > 0.0):
-        return ComparabilityReport(
-            "lemma32", 0.0, 0.0, 0.0, desc, trivial=True, extras={}
-        )
+        return _report("lemma32", 0.0, 0.0, desc)
     obj_i = CubeObjective(
         gamma=coefs, incidence=geom.incidence, sigma_atom=sig_atom, omega_atom=om_atom,
         e=cfg.r, t=cfg.q / cfg.r, s=cfg.p, outer=1.0,
@@ -247,8 +296,8 @@ def _lsu_sums(
 ) -> tuple[float, float]:
     om_atom, om_q = omega_masses
     sig_atom, sig_q = sigma_masses
-    if np.any(sig_q <= 0.0) or np.any(om_q <= 0.0):
-        raise DegenerateInstanceError("a weight vanishes on a family member")
+    _require_mass(geom, sig_q, "sigma")
+    _require_mass(geom, om_q, "omega")
     p_conj = p / (p - 1.0)
     q_conj = q / (q - 1.0)
     n1 = _local_norms(geom, taus * om_q / geom.lengths, sig_atom, p_conj)
@@ -284,7 +333,7 @@ def lsu_check(
     om, sig = geom.masses(omega), geom.masses(sigma)
     desc = f"positive operator on {len(family)} cubes, (p, q)=({p}, {q})"
     if not np.any(op.taus > 0.0):
-        return ComparabilityReport("lemma34", 0.0, 0.0, 0.0, desc, trivial=True)
+        return _report("lemma34", 0.0, 0.0, desc)
     obj = CubeObjective(
         gamma=op.taus / geom.lengths, incidence=geom.incidence,
         sigma_atom=sig[0], omega_atom=om[0],
@@ -323,10 +372,10 @@ def check_lemma41(
         raise ParameterError("coefficients must be nonnegative")
     geom = FamilyGeometry(family)
     sig_atom, sig_q = geom.masses(sigma)
-    _positive(sig_q, "sigma")
+    _require_mass(geom, sig_q, "sigma")
     desc = f"{len(family)} cubes, p={p}"
     if not np.any(coefs > 0.0):
-        return ComparabilityReport("lemma41", 0.0, 0.0, 0.0, desc, trivial=True)
+        return _report("lemma41", 0.0, 0.0, desc)
     scale = float(coefs.max())
     unit = coefs / scale
     phi = unit @ geom.incidence
@@ -401,6 +450,24 @@ def _default_depth(family: SparseFamily, *weights: Weight) -> int:
     return min(depth, 14)
 
 
+def _characteristics(
+    family: SparseFamily,
+    cfg: ExponentConfig,
+    omega: Weight,
+    sigma: Weight,
+    depth: Optional[int] = None,
+):
+    """depth (`_default_depth` when None) and the char, A_infty(sigma), A_infty(omega) reports."""
+    if depth is None:
+        depth = _default_depth(family, omega, sigma)
+    return (
+        depth,
+        two_weight_char(omega, sigma, cfg, family),
+        ainfty(sigma, depth=depth),
+        ainfty(omega, depth=depth),
+    )
+
+
 def verify_thm42(
     family: SparseFamily,
     cfg: ExponentConfig,
@@ -414,11 +481,9 @@ def verify_thm42(
     Fujii-Wilson factors; the exponent split depends on whether the
     diagonal fractional regime (p = q, alpha < 1) applies.
     """
-    depth = ainfty_depth if ainfty_depth is not None else _default_depth(family, omega, sigma)
-    char = two_weight_char(omega, sigma, cfg, family).value
-    a_sig = ainfty(sigma, depth=depth).value
-    a_om = ainfty(omega, depth=depth).value
-    desc = f"family of {len(family)}, exponents ({cfg.p}, {cfg.q}, {cfg.r}, {cfg.alpha})"
+    _, char, a_sig, a_om = _characteristics(family, cfg, omega, sigma, ainfty_depth)
+    char, a_sig, a_om = char.value, a_sig.value, a_om.value
+    desc = _describe(family, cfg)
 
     geom = FamilyGeometry(family)
     masses = geom.masses(omega), geom.masses(sigma)

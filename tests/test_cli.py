@@ -5,7 +5,11 @@ import math
 
 import pytest
 
-from sparselab.cli import _emit, main
+from sparselab import FamilyGeometry, RandomInstance, check_prop31, check_thm11
+from sparselab import testing_T as _testing_T  # aliases keep pytest collection clean
+from sparselab import testing_Tstar as _testing_Tstar
+from sparselab.cli import _emit, _round12, load_instance, main
+from sparselab.suites import _rows_thm11
 
 CHAIN_INSTANCE = {
     "exponents": {"p": 2, "q": 2, "r": 1, "alpha": 1},
@@ -75,6 +79,48 @@ def test_opnorm_sandwich_and_determinism(tmp_path, capsys):
     assert (out_a / "opnorm_inst.csv").read_bytes() == (out_b / "opnorm_inst.csv").read_bytes()
 
 
+def test_opnorm_and_the_thm11_row_read_check_thm11(tmp_path, capsys):
+    inst = write_instance(tmp_path, CHAIN_INSTANCE)
+    code, report, _ = run_cli(capsys, ["opnorm", "--instance", inst, "--out", str(tmp_path)])
+    assert code == 0
+    parsed = load_instance(inst)
+    args = (parsed.family, parsed.cfg, parsed.omega, parsed.sigma)
+    rep = check_thm11(*args, restarts=4, seed=3)
+    names = ("certified_lower", "certified_upper", "certified_upper_reason", "starts",
+             "characteristic", "rhs_branch", "converged", "residual", "iterations", "depth")
+    expected = {name: rep.extras[name] for name in names}
+    expected.update(
+        estimate=rep.lhs, theorem_rhs=rep.rhs, ratio_estimate_over_rhs=rep.ratio,
+        ratio_lower_over_estimate=rep.extras["lower_ratio"],
+    )
+    assert report["values"] == _round12(expected, [])
+    # the suite row of the same instance, at the suite's solver options
+    row_inst = RandomInstance("thm11", 3, parsed.family, parsed.omega, parsed.sigma, parsed.cfg)
+    rows, reasons = _rows_thm11(row_inst)
+    rep = check_thm11(*args, seed=3)
+    assert reasons == [] and len(rows) == 1
+    assert (rows[0].instance_id, rows[0].lhs, rows[0].rhs, rows[0].ratio) == (
+        "3", rep.lhs, rep.rhs, rep.ratio
+    )
+
+
+def test_opnorm_reports_an_underflowed_estimate(tmp_path, capsys):
+    # sigma at 1e-300 underflows the estimate to 0; both ratios follow the
+    # report rule, 0 over a vanishing rhs, instead of dividing by zero
+    payload = dict(
+        CHAIN_INSTANCE,
+        exponents={"p": 3, "q": 3, "r": 2, "alpha": 1},
+        sigma={"kind": "power", "beta": -0.5, "coeff": 1e-300},
+    )
+    inst = write_instance(tmp_path, payload)
+    code, rep, err = run_cli(capsys, ["opnorm", "--instance", inst, "--out", str(tmp_path)])
+    assert code == 0 and err is None
+    vals = rep["values"]
+    assert vals["estimate"] == vals["certified_lower"] == 0.0
+    assert vals["ratio_lower_over_estimate"] == vals["ratio_estimate_over_rhs"] == 0.0
+    assert (tmp_path / "opnorm_inst.csv").exists()
+
+
 def test_opnorm_reports_why_no_upper_bound(tmp_path, capsys):
     payload = dict(CHAIN_INSTANCE, exponents={"p": 2, "q": 4, "r": 2, "alpha": 0.75})
     inst = write_instance(tmp_path, payload)
@@ -96,7 +142,7 @@ class _Received(Exception):
     """Raised by a stand-in solver once it has recorded its arguments."""
 
 
-@pytest.mark.parametrize("command,solver", [("opnorm", "estimate_opnorm"), ("testing", "check_prop31")])
+@pytest.mark.parametrize("command,solver", [("opnorm", "check_thm11"), ("testing", "check_prop31")])
 @pytest.mark.parametrize("argv_seed,seed", [(["--seed", "99"], 99), ([], 3)])
 def test_solver_options_reach_the_solver(tmp_path, monkeypatch, command, solver, argv_seed, seed):
     # --seed wins over options.seed; the other options come from the file
@@ -134,6 +180,28 @@ def test_testing_command(tmp_path, capsys):
     assert vals["testing_Tstar"] > 0.0
     assert vals["branch"].startswith("r < p")
     assert 0.0 < vals["ratio"] <= 1.0 + 1e-9
+
+
+def test_testing_builds_one_geometry(tmp_path, capsys, monkeypatch):
+    inst = write_instance(tmp_path, CHAIN_INSTANCE)
+    parsed = load_instance(inst)
+    args = (parsed.family, parsed.cfg, parsed.omega, parsed.sigma)
+    t_val, tstar = _testing_T(*args), _testing_Tstar(*args)
+    rep = check_prop31(*args, restarts=4, seed=3)
+    assert rep.extras["testing_T"] == t_val and rep.extras["testing_Tstar"] == tstar
+    built = []
+    init = FamilyGeometry.__init__
+
+    def counting(self, *a, **k):
+        built.append(self)
+        init(self, *a, **k)
+
+    monkeypatch.setattr(FamilyGeometry, "__init__", counting)
+    code, report, _ = run_cli(capsys, ["testing", "--instance", inst, "--out", str(tmp_path)])
+    assert code == 0 and len(built) == 1
+    vals = report["values"]
+    assert [vals["testing_T"], vals["testing_Tstar"]] == _round12([t_val, tstar], [])
+    assert [vals["opnorm_power_r"], vals["testing_bound"]] == _round12([rep.lhs, rep.rhs], [])
 
 
 def test_parse_errors_name_the_field(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparselab import (
+    ComparabilityReport,
     ParameterError,
     PowerWeight,
     ROOT,
@@ -94,6 +95,17 @@ def test_run_suite_repeatable():
     ]
     assert a.failures == b.failures == ()
     assert a.ratio_window == b.ratio_window
+
+
+def test_failures_name_suite_seed_and_instance(monkeypatch):
+    # a p = 2 ratio outside [1, sqrt 2] is a per-row failure of the lemma41 runner
+    outside = ComparabilityReport("lemma41", 3.0, 1.0, 3.0, "stand-in")
+    monkeypatch.setattr("sparselab.suites.check_lemma41", lambda *args: outside)
+    result = run_suite("lemma41", seed=7, trials=6)
+    p2 = [i for i in range(6) if make_instance("lemma41", 7, i).extras["p"] == 2.0]
+    assert p2 and result.failures == tuple(
+        f"lemma41 seed 7 instance {i}: p=2 ratio 3.0 outside [1, sqrt 2]" for i in p2
+    )
 
 
 def test_lemma41_window_is_the_proved_bracket():

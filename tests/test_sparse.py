@@ -49,6 +49,7 @@ from sparselab import (
     theorem_rhs,
     two_weight_char,
 )
+from sparselab import ascent
 from sparselab import testing_T as _testing_T  # alias keeps pytest collection clean
 
 CHAIN1 = chain_family(1)
@@ -353,7 +354,8 @@ def test_estimate_certificate_residual():
     short = estimate_opnorm(*args, seed=9, max_iters=2)
     assert not short.converged
     assert short.residual > 1e-8
-    assert short.iterations == 2
+    # the constant start is rejected, so two passes of it precede two seeded passes
+    assert short.restarts == 17 and short.iterations == 4
 
 
 def test_bracket_rows_run_one_start():
@@ -383,7 +385,7 @@ def test_unbracketed_rows_run_the_seeded_starts(cfg, reason):
     assert est.certified_upper is None and reason in est.certified_upper_reason
 
 
-def test_reducible_map_falls_back_to_the_seeded_starts():
+def test_reducible_map_falls_back_to_the_seeded_starts(monkeypatch):
     # tau = 0 on the root: g vanishes on the atom no other cube covers
     family = SparseFamily((DyadicInterval(0, 0), DyadicInterval(1, 0), DyadicInterval(2, 2)))
     op = PositiveDyadicOperator(family, np.array([0.0, 1.0, 0.5]))
@@ -395,7 +397,18 @@ def test_reducible_map_falls_back_to_the_seeded_starts():
         sigma_atom=geom.masses(LEBESGUE)[0], omega_atom=geom.masses(LEBESGUE)[0],
         e=1.0, t=2.0, s=2.0,
     )
+    phases, solve = [], ascent._solve
+
+    def recording(*args, **kwargs):
+        phases.append(solve(*args, **kwargs))
+        return phases[-1]
+
+    monkeypatch.setattr(ascent, "_solve", recording)
     res = maximize(obj, restarts=6, seed=1, extra_candidates=geom.candidates)
     assert res.certified_upper is None and "not finite" in res.certified_upper_reason
     assert res.starts == 7 and len(res.restart_values) == 6
     assert res.value == rep.lhs and res.converged
+    # iterations counts the rejected constant start's passes and the seeded ones
+    rejected, seeded = phases
+    assert rejected.starts == 1 and rejected.iterations > 0
+    assert res.iterations == rejected.iterations + seeded.iterations

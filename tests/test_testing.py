@@ -38,6 +38,7 @@ from sparselab import (
     check_lemma41,
     check_lemma43,
     check_prop31,
+    estimate_opnorm,
     lp_norm,
     lsu_check,
     lsu_testing_sums,
@@ -72,6 +73,17 @@ def test_testing_degenerate_weight():
     sigma = PiecewiseWeight(1, [0.0, 2.0])
     with pytest.raises(DegenerateInstanceError):
         _testing_T(CHAIN1, CFG2211, LEBESGUE, sigma)
+    # one mass check names the weight and its first massless member for every caller
+    chain2 = chain_family(2)
+    zero_deep = PiecewiseWeight(2, [0.0, 1.0, 1.0, 1.0])  # massless on [0, 1/4) only
+    member = r"on member \[0/2\^2, 1/2\^2\)"
+    with pytest.raises(DegenerateInstanceError, match="sigma has zero mass " + member):
+        _testing_T(chain2, CFG2211, LEBESGUE, zero_deep)
+    op = PositiveDyadicOperator(chain2, np.ones(3))
+    with pytest.raises(DegenerateInstanceError, match="omega has zero mass " + member):
+        lsu_testing_sums(op, 2.0, 2.0, zero_deep, LEBESGUE)
+    with pytest.raises(DegenerateInstanceError, match="sigma has zero mass " + member):
+        estimate_opnorm(chain2, CFG2211, LEBESGUE, zero_deep)
 
 
 def test_prop31_single_cube():
