@@ -123,8 +123,8 @@ def _pow0(x: np.ndarray, p: float, zero: bool = False) -> np.ndarray:
     return x**p
 
 
-# A constant start is kept when its Collatz-Wielandt bound lies within this
-# relative distance above the reported value; otherwise the seeded starts run.
+# A constant start with a positive, finite value is kept when its Collatz-Wielandt
+# bound lies within this relative distance above it; otherwise the seeded starts run.
 BRACKET_TOL = 1e-6
 # The bound is raised by this relative amount to cover the rounding of g and
 # of the value, each a few O(n)-term sums: about n 2^-53, 1e-14 at n = 100
@@ -184,7 +184,8 @@ def maximize(
     Where the Collatz-Wielandt bound holds (`_bracket_reason` is None) and
     restarts >= 1, one start runs: the constant function. It is kept, with
     `certified_upper` = (max_a g_a / f_a^(s-1))^(outer/t) at its endpoint,
-    when that bound is finite and within BRACKET_TOL of the value. Otherwise,
+    when its value is positive and finite and that bound is finite and
+    within BRACKET_TOL of the value. Otherwise,
     as on every other objective, `restarts` starts are drawn per atom
     log-uniformly from [1e-3, 1e3] with a seeded generator, so identical
     (seed, opts) reproduce bitwise; `certified_upper` is then None and
@@ -257,7 +258,9 @@ def _solve(
     if certify:
         ratio = np.max(g / np.exp(u) ** (objective.s - 1.0))
         bound = float(ratio ** (objective.outer / objective.t)) * (1.0 + ROUNDING_SLACK)
-        if not math.isfinite(bound):
+        if not (value > 0.0 and math.isfinite(value)):
+            reason = f"the value at the constant start is {value:g}, not positive and finite"
+        elif not math.isfinite(bound):
             reason = "the bound at the constant start is not finite: g vanishes on some atoms"
         elif bound > value * (1.0 + BRACKET_TOL):
             reason = f"the bound at the constant start exceeds the value by more than {BRACKET_TOL:g}"

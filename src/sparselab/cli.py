@@ -5,7 +5,11 @@ Each reads its numbers from one library call: `char` from the
 characteristic triple shared with the checks, `opnorm` from
 `testing.check_thm11`, `testing` from `testing.check_prop31`, `verify`
 from `suites.run_suite` and `sharpness` from `sharpness.sweep`; the
-three instance commands share the instance loader. One runner then
+three instance commands share the instance loader. Each registers only
+the flags it reads: `char` takes ``--depth`` (the A_infty scan depth),
+`testing` takes ``--seed`` (the solver seed) and `opnorm` takes both;
+either flag wins over the same key in the instance file's ``options``,
+which every instance command accepts. One runner then
 digests the command's input, writes its CSV artifact into the output
 directory (``--out``, overridden by the ``SPARSELAB_OUT`` environment
 variable) and prints its JSON report to stdout. All floating output is
@@ -461,16 +465,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, compute, text in (
-        ("char", cmd_char, "weight characteristics and exponent feasibility"),
-        ("opnorm", cmd_opnorm, "operator-norm estimate with certified lower bound"),
-        ("testing", cmd_testing, "local testing constants and the norm comparison"),
+    flag_help = {"--seed": "solver seed override", "--depth": "dyadic scan depth"}
+    for name, compute, flags, text in (
+        ("char", cmd_char, ("--depth",), "weight characteristics and exponent feasibility"),
+        ("opnorm", cmd_opnorm, ("--seed", "--depth"),
+         "operator-norm estimate with certified lower bound"),
+        ("testing", cmd_testing, ("--seed",), "local testing constants and the norm comparison"),
     ):
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--out", default=None, help="output directory for CSV artifacts")
         sp.add_argument("--instance", required=True, help="instance JSON file")
-        sp.add_argument("--seed", type=int, default=None, help="solver seed override")
-        sp.add_argument("--depth", type=int, default=None, help="dyadic scan depth")
+        for flag in flags:
+            sp.add_argument(flag, type=int, default=None, help=flag_help[flag])
         sp.set_defaults(func=partial(_on_instance, compute))
 
     sp = sub.add_parser("verify", help="seeded ratio suites against frozen baselines")

@@ -10,14 +10,16 @@ log2 space because truncation depths K = 20/eps run into the millions
 (2.6e6 at eps = 2^-17), where the raw shell terms overflow double
 precision by thousands of orders of magnitude.
 
-A shell term carries the cumulative block sum log2(2^{g(l+1)} - 1); once
-g(l+1) > 54 that equals g(l+1) in double precision, so from there on the
-shells form one exact geometric series. The primal and dual lhs sums
-(growth g = 2(alpha - eps) >= 3/4 on the recorded grids) therefore sum
-about 54/g shells explicitly and the rest in closed form. The dual rhs
-grows at g = 2 eps, never reaches that regime inside K, and is summed
-shell by shell over fixed-length chunks with a running log-sum-exp, as is
-the coefficient-identity check, so no array grows with K.
+The three square-function norms (primal exact, dual lhs, dual rhs) are
+one chain sum, `_chain_sum`: shell l carries the block sum
+G_l = (2^{g(l+1)} - 1)/(2^g - 1) to the power outer/2. Once g(l+1) > 54,
+log2(2^{g(l+1)} - 1) equals g(l+1) in double precision and the shells form
+one exact geometric series, so about 54/g shells are streamed over
+fixed-length chunks with a running log-sum-exp and the rest are summed in
+closed form. That is at most 72 shells at the primal and lhs growth
+g = 2(alpha - eps) >= 3/4 on the recorded grids and all K at the rhs
+growth g = 2 eps; no array grows with K, nor in the coefficient-identity
+check.
 
 The reported tail bound per row is a one-sided geometric envelope of the
 discarded shells, relative to the truncated value and already divided by
@@ -57,11 +59,6 @@ def _v_log2_2pow_m1(x: np.ndarray) -> np.ndarray:
 def _log2_geom_sum(n: int, d: float) -> float:
     """log2 of sum_{l=0}^{n-1} 2^{-l d} for d > 0."""
     return _log2_1m2pow(n * d) - _log2_1m2pow(d)
-
-
-def _logsumexp2(logs: np.ndarray) -> float:
-    m = float(np.max(logs))
-    return m + math.log2(float(np.sum(np.exp2(logs - m))))
 
 
 _CHUNK = 1 << 16  # indices per streamed chunk
@@ -123,25 +120,42 @@ def _coef_identity_max_rel(eps: float, alpha: float, k_top: int) -> float:
     return worst
 
 
-def _log2_shell_sum(
-    n: int, base: float, c: float, g: float, rate: float, d: float
-) -> float:
-    """log2 sum_{l<n} 2^{base + c log2((2^{g(l+1)} - 1)/(2^g - 1)) - l rate}.
+def _log2_shell_sum(n: int, c: float, g: float, rate: float, d: float) -> float:
+    """log2 sum_{j=1}^{n} 2^{c log2(2^{gj} - 1) - j rate}.
 
     d = rate - c g > 0 is passed in by the caller in a form that does not
-    cancel. Shells with g(l+1) > 54 are exactly geometric with ratio 2^-d
-    and are summed in closed form; the about 54/g shells before them are
-    summed explicitly.
+    cancel. Terms with gj > 54 are exactly geometric with ratio 2^-d and
+    are summed in closed form; the about 54/g terms before them stream.
     """
-    log_gm1 = _log2_2pow_m1(g)
     head = min(n, math.floor(_EXACT_GROWTH / g))
-    log_head = _log2_sum_streamed(
-        0, head, lambda l: base + c * (_v_log2_2pow_m1(g * (l + 1.0)) - log_gm1) - l * rate
-    )
+    log_head = _log2_sum_streamed(1, head + 1, lambda j: c * _v_log2_2pow_m1(g * j) - j * rate)
     if head == n:
         return log_head
-    log_first = base + c * (g * (head + 1.0) - log_gm1) - head * rate
+    log_first = c * g * (head + 1.0) - (head + 1.0) * rate
     return float(np.logaddexp2(log_head, log_first + _log2_geom_sum(n - head, d)))
+
+
+def _chain_sum(
+    k_top: int, outer: float, lead: float, g: float, rate: float, d: float
+) -> tuple[float, float, float]:
+    """log2 of a chain sum S, of its tail majorant and of its raw shell sum.
+
+    S = sum_{l<K} (2^lead G_l)^c J_l + (2^lead G_K)^c 2^{-K rate}/rate with
+    c = outer/2 and J_l = 2^{-l rate} (1 - 2^-rate)/rate the measure of shell
+    l; the last term is the core [0, 2^-K] with the block sum frozen at K.
+    The majorant is term K with G_K <= 2^{g(K+1)}/(2^g - 1); the discarded
+    shells decay from it at least like 2^-d. The raw sum is
+    `_log2_shell_sum(K, c, g, rate, d)`, the shells without their constants.
+    """
+    c = outer / 2.0
+    log_gm1 = _log2_2pow_m1(g)
+    log_meas = _log2_1m2pow(rate) - math.log2(rate)
+    log_raw = _log2_shell_sum(k_top, c, g, rate, d)
+    log_shells = log_raw + (c * (lead - log_gm1) + log_meas + rate)
+    log_core = (c * (lead + _log2_2pow_m1(g * (k_top + 1.0)) - log_gm1) - k_top * rate
+                - math.log2(rate))
+    log_major = c * (lead + g * (k_top + 1.0) - log_gm1) + log_meas - k_top * rate
+    return float(np.logaddexp2(log_shells, log_core)), log_major, log_raw
 
 
 class PrimalQuantities(NamedTuple):
@@ -199,33 +213,18 @@ def primal_quantities(
     log_shells = log_t0 + _log2_geom_sum(k_top, d_step)
     log_core_meas = -k_top * (m + 1.0) - math.log2(m + 1.0)
     log_core_low = q * (-log2_eps + k_top * (alpha - eps)) + log_core_meas
-    log_s_low = _logsumexp2(np.array([log_shells, log_core_low]))
+    log_s_low = float(np.logaddexp2(log_shells, log_core_low))
     af_lower = 2.0 ** (log_s_low / q)
     log_tail_low = log_t0 - k_top * d_step - _log2_1m2pow(d_step)
     tail_lower = 2.0 ** (log_tail_low - log_s_low) / q
 
-    # exact square function: per-shell cumulative geometric sums, whose
-    # decay (m + 1) - q (alpha - eps) = d_step is q (eps / p + line defect)
-    log_shells_exact = _log2_shell_sum(
-        k_top,
-        -q * log2_eps + c_shell,
-        q / 2.0,
-        growth,
-        m + 1.0,
-        q * (eps / p + _line_defect(p, q, alpha)),
+    # exact square function: the chain sum, whose decay
+    # (m + 1) - q (alpha - eps) = d_step is q (eps / p + line defect)
+    log_s_exact, log_major, _ = _chain_sum(
+        k_top, q, -2.0 * log2_eps, growth, m + 1.0, q * (eps / p + _line_defect(p, q, alpha))
     )
-    log_g_core = _log2_2pow_m1(growth * (k_top + 1.0)) - _log2_2pow_m1(growth)
-    log_core = q * (-log2_eps + 0.5 * log_g_core) + log_core_meas
-    log_s_exact = _logsumexp2(np.array([log_shells_exact, log_core]))
     af_exact = 2.0 ** (log_s_exact / q)
-    # geometric majorant of the discarded shells: G_l <= 2^{growth(l+1)}/(2^growth - 1)
-    log_major_k = (
-        -q * log2_eps
-        + (q / 2.0) * (growth * (k_top + 1.0) - _log2_2pow_m1(growth))
-        + c_shell
-        - k_top * (m + 1.0)
-    )
-    tail_exact = 2.0 ** (log_major_k - _log2_1m2pow(d_step) - log_s_exact) / q
+    tail_exact = 2.0 ** (log_major - _log2_1m2pow(d_step) - log_s_exact) / q
 
     return PrimalQuantities(char, fnorm, af_lower, af_exact, tail_lower, tail_exact)
 
@@ -266,75 +265,33 @@ def dual_quantities(
 
     coef_identity_max_rel = _coef_identity_max_rel(eps, alpha, k_top)
 
-    # rhs: || (sum a_k^2)^{1/2} ||_{L^{q'}(w^q)}; integrand power (q'+1)eps - 1
-    g_growth = 2.0 * eps
+    # rhs: || (sum a_k^2)^{1/2} ||_{L^{q'}(w^q)}; block squares eps 2^{2 eps k}
+    # (growth 2 eps, decay eps), integrand power (q'+1)eps - 1
     mj = (q_conj + 1.0) * eps - 1.0
-    c_j = _log2_1m2pow(mj + 1.0) - math.log2(mj + 1.0)
-    # log_delta(j) = (q'/2) log2(2^{gj} - 1) - j (mj + 1), j = 1..K; shell
-    # l of the rhs sum is log_delta(l + 1) plus a constant
-    log_delta_sum = _log2_sum_streamed(
-        1,
-        k_top + 1,
-        lambda j: (q_conj / 2.0) * _v_log2_2pow_m1(g_growth * j) - j * (mj + 1.0),
-    )
-    shell_shift = (
-        (q_conj / 2.0) * (log2_eps - _log2_2pow_m1(g_growth)) + c_j + (mj + 1.0)
-    )
-    log_g_core = _log2_2pow_m1(g_growth * (k_top + 1.0)) - _log2_2pow_m1(g_growth)
-    log_core = (q_conj / 2.0) * (log2_eps + log_g_core) - k_top * (mj + 1.0) - math.log2(
-        mj + 1.0
-    )
-    log_s_rhs = _logsumexp2(np.array([shell_shift + log_delta_sum, log_core]))
+    log_s_rhs, log_major, log_raw = _chain_sum(k_top, q_conj, log2_eps, 2.0 * eps, mj + 1.0, eps)
     rhs_norm = 2.0 ** (log_s_rhs / q_conj)
-    log_major = (
-        (q_conj / 2.0) * (log2_eps + g_growth * (k_top + 1.0) - _log2_2pow_m1(g_growth))
-        + c_j
-        - k_top * (mj + 1.0)
-    )
     if q_conj <= 2.0:
         # The truncated value already contains the core integral with the
         # block sum frozen at K, so the true omission is
         # sum_{l>=K} [(eps G_l)^{q'/2} - (eps G_K)^{q'/2}] J_l; bound the
         # bracket by (eps (G_l - G_K))^{q'/2} (subadditive for q'/2 <= 1).
         log_rest = -(k_top + 1.0) * eps - _log2_1m2pow(eps)
-        log_gap = _logsumexp2(np.array([log_delta_sum, log_rest]))
+        log_gap = float(np.logaddexp2(log_raw, log_rest))
     else:
         log_gap = -_log2_1m2pow(eps)
     tail_rhs = 2.0 ** (log_major + log_gap - log_s_rhs) / q_conj
 
     # lhs: coefficients (1/2) eps^{-1/2} 2^{k(alpha-eps)}, measure w^{-p'};
     # the shell decay d_step is p' (eps / q' + line defect)
-    c_w = _log2_1m2pow(u + 1.0) - math.log2(u + 1.0)
-    log_shells2 = _log2_shell_sum(
-        k_top,
-        (p_conj / 2.0) * (-2.0 - log2_eps) + c_w,
-        p_conj / 2.0,
-        h_growth,
-        u + 1.0,
+    log_s_lhs, log_major, _ = _chain_sum(
+        k_top, p_conj, -2.0 - log2_eps, h_growth, u + 1.0,
         p_conj * (eps * (1.0 - 1.0 / q) + _line_defect(p, q, alpha)),
     )
-    log_h_core = _log2_2pow_m1(h_growth * (k_top + 1.0)) - _log2_2pow_m1(h_growth)
-    log_core2 = (p_conj / 2.0) * (-2.0 - log2_eps + log_h_core) - k_top * (
-        u + 1.0
-    ) - math.log2(u + 1.0)
-    log_s_lhs = _logsumexp2(np.array([log_shells2, log_core2]))
     lhs_norm = 2.0 ** (log_s_lhs / p_conj)
-    log_major2 = (
-        (p_conj / 2.0)
-        * (-2.0 - log2_eps + h_growth * (k_top + 1.0) - _log2_2pow_m1(h_growth))
-        + c_w
-        - k_top * (u + 1.0)
-    )
-    tail_lhs = 2.0 ** (log_major2 - _log2_1m2pow(d_step) - log_s_lhs) / p_conj
+    tail_lhs = 2.0 ** (log_major - _log2_1m2pow(d_step) - log_s_lhs) / p_conj
 
     return DualQuantities(
-        char,
-        rhs_norm,
-        lhs_norm,
-        square_sum_bound,
-        coef_identity_max_rel,
-        tail_rhs,
-        tail_lhs,
+        char, rhs_norm, lhs_norm, square_sum_bound, coef_identity_max_rel, tail_rhs, tail_lhs
     )
 
 

@@ -61,12 +61,17 @@ def _describe(family: SparseFamily, cfg: ExponentConfig) -> str:
     return f"family of {len(family)}, exponents ({cfg.p}, {cfg.q}, {cfg.r}, {cfg.alpha})"
 
 
-def _local_norms(
-    geom: FamilyGeometry, coefs: np.ndarray, atom_masses: np.ndarray, exponent: float
-) -> np.ndarray:
-    """|| sum_{Q <= R} coefs_Q 1_Q ||_{L^exponent} on atoms, one entry per member R."""
+def _testing_sup(
+    geom: FamilyGeometry, coefs: np.ndarray, atom_masses: np.ndarray, exponent: float,
+    member_masses: np.ndarray, power: float,
+) -> float:
+    """sup_R mu(R)^power || sum_{Q <= R} coefs_Q 1_Q ||_{L^exponent(nu)} over members R.
+
+    nu is given by its atom masses and mu by its member masses.
+    """
     local = (geom.contains * coefs) @ geom.incidence
-    return (local**exponent @ atom_masses) ** (1.0 / exponent)
+    norms = (local**exponent @ atom_masses) ** (1.0 / exponent)
+    return float(np.max(member_masses**power * norms))
 
 
 def testing_T(
@@ -84,8 +89,7 @@ def _testing_T(
     _, sig_q = sigma_masses
     _require_mass(geom, sig_q, "sigma")
     coefs = geom.length_powers(-cfg.alpha * cfg.r) * sig_q**cfg.r
-    norms = _local_norms(geom, coefs, om_atom, cfg.q / cfg.r)
-    return float(np.max(sig_q ** (-cfg.r / cfg.p) * norms))
+    return _testing_sup(geom, coefs, om_atom, cfg.q / cfg.r, sig_q, -cfg.r / cfg.p)
 
 
 def testing_Tstar(
@@ -112,8 +116,7 @@ def _testing_Tstar(
     coefs = geom.length_powers(-cfg.alpha * cfg.r) * sig_q ** (cfg.r - 1.0) * om_q
     tr = cfg.q / cfg.r
     tr_conj = tr / (tr - 1.0)
-    norms = _local_norms(geom, coefs, sig_atom, cfg.outer_conj)
-    return float(np.max(om_q ** (-1.0 / tr_conj) * norms))
+    return _testing_sup(geom, coefs, sig_atom, cfg.outer_conj, om_q, -1.0 / tr_conj)
 
 
 def check_prop31(
@@ -300,11 +303,9 @@ def _lsu_sums(
     _require_mass(geom, om_q, "omega")
     p_conj = p / (p - 1.0)
     q_conj = q / (q - 1.0)
-    n1 = _local_norms(geom, taus * om_q / geom.lengths, sig_atom, p_conj)
-    n2 = _local_norms(geom, taus * sig_q / geom.lengths, om_atom, q)
     return (
-        float(np.max(om_q ** (-1.0 / q_conj) * n1)),
-        float(np.max(sig_q ** (-1.0 / p) * n2)),
+        _testing_sup(geom, taus * om_q / geom.lengths, sig_atom, p_conj, om_q, -1.0 / q_conj),
+        _testing_sup(geom, taus * sig_q / geom.lengths, om_atom, q, sig_q, -1.0 / p),
     )
 
 
@@ -478,8 +479,8 @@ def verify_thm42(
     """Testing constants against their mixed-characteristic upper bounds.
 
     Each constant is compared with char^r times the appropriate product of
-    Fujii-Wilson factors; the exponent split depends on whether the
-    diagonal fractional regime (p = q, alpha < 1) applies.
+    Fujii-Wilson factors; the exponent split is the diagonal fractional one
+    where `rhs_branch` is "diagonal-fractional" (p = q > r, alpha < 1).
     """
     _, char, a_sig, a_om = _characteristics(family, cfg, omega, sigma, ainfty_depth)
     char, a_sig, a_om = char.value, a_sig.value, a_om.value
@@ -488,8 +489,8 @@ def verify_thm42(
     geom = FamilyGeometry(family)
     masses = geom.masses(omega), geom.masses(sigma)
     t_val = _testing_T(geom, cfg, *masses)
-    diag = cfg.p == cfg.q and cfg.alpha < 1.0
-    if diag and cfg.p > cfg.r:
+    diag = rhs_branch(cfg) == "diagonal-fractional"
+    if diag:
         w = (1.0 - cfg.r / cfg.p) ** 2
         rhs_t = char**cfg.r * a_sig ** (1.0 - w) * a_om**w
         branch_t = "diagonal fractional split"

@@ -1,0 +1,52 @@
+"""One round of every benchmark workload runs and passes its checks.
+
+perfbench/workloads.py reads the library directly (for example
+`testing._default_depth`, the order of the sweep tuples and the report
+extras); a change that breaks one of those reads would otherwise only
+surface as a failed benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import sparselab
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_workloads():
+    # workloads.py imports its sibling reference.py by name, and its
+    # dataclasses look their module up in sys.modules
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_round_zero_passes(name):
+    wl = workloads.WORKLOADS[name]
+    inputs = wl.setup(sparselab, 1)
+    refs = wl.prepare(inputs)
+    ops = wl.round_ops(sparselab, inputs, refs, 0)
+    assert ops
+    outputs = [op.call() for op in ops]
+    failures = [
+        f"{op.label}: {'; '.join(why)}"
+        for op, why in zip(ops, wl.check_round(ops, outputs))
+        if why
+    ]
+    assert not failures

@@ -118,6 +118,11 @@ def test_opnorm_reports_an_underflowed_estimate(tmp_path, capsys):
     vals = rep["values"]
     assert vals["estimate"] == vals["certified_lower"] == 0.0
     assert vals["ratio_lower_over_estimate"] == vals["ratio_estimate_over_rhs"] == 0.0
+    # a vanishing value certifies nothing: the instance's 4 seeded starts
+    # run after the rejected constant start
+    assert vals["certified_upper"] is None
+    assert "not positive and finite" in vals["certified_upper_reason"]
+    assert vals["starts"] == 5
     assert (tmp_path / "opnorm_inst.csv").exists()
 
 
@@ -257,6 +262,16 @@ def test_argparse_usage_error_is_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,flag", [("testing", "--depth"), ("char", "--seed")])
+def test_instance_commands_take_only_the_flags_they_read(tmp_path, capsys, command, flag):
+    # testing never scans to a depth and char never runs the solver
+    inst = write_instance(tmp_path, CHAIN_INSTANCE)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", inst, "--out", str(tmp_path), flag, "9"])
+    assert exc.value.code == 2
+    assert not (tmp_path / f"{command}_inst.csv").exists()
 
 
 def test_verify_refresh_then_pass_then_violation(tmp_path, capsys):

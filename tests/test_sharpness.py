@@ -1,12 +1,13 @@
 """Tests for the power-weight sweeps.
 
-The implementation accumulates everything in log2 space, sums the primal
-and dual lhs shells in closed form once they turn exactly geometric
-(g(l+1) > 54), and streams the dual rhs sums in fixed-length chunks. The
-oracles below check it three ways: naive shell sums in plain double
-arithmetic at eps = 1/4 and 1/8, where the largest intermediate is
-~2^{450} and doubles still hold it; 40-digit mpmath shell sums, shell by
-shell, at eps = 2^-8 and 2^-9; and invariance under the chunk length.
+The implementation accumulates everything in log2 space and evaluates the
+three square-function norms as one chain sum, which streams its shells in
+fixed-length chunks until they turn exactly geometric (g(l+1) > 54) and
+sums the rest in closed form. The oracles below check it three ways: naive
+shell sums in plain double arithmetic at eps = 1/4 and 1/8, where the
+largest intermediate is ~2^{450} and doubles still hold it; 40-digit
+mpmath shell sums, shell by shell, of all three norms at eps = 2^-8 and
+2^-9; and invariance under the chunk length.
 The deep grid eps = 2^-9 ... 2^-17 checks slopes and tails where the
 benchmark runs, and a tracemalloc guard keeps every array bounded
 independently of K. Characteristics are cross-checked against the
@@ -147,6 +148,15 @@ def mp_lhs(eps, p, q, alpha, k):
         return s ** (1 / pc), major / (1 - mpmath.mpf(2) ** -d) / s / pc
 
 
+def mp_rhs(eps, q, k):
+    """rhs_norm to 40 digits, with q' = q/(q-1) exact."""
+    with mpmath.workdps(40):
+        eps, q = mpmath.mpf(eps), mpmath.mpf(q)
+        qc = q / (q - 1)
+        s, _ = mp_shell_sum(k, eps ** (qc / 2), qc / 2, 2 * eps, (qc + 1) * eps)
+        return s ** (1 / qc)
+
+
 @pytest.mark.parametrize("pqa", [P243, P487])
 @pytest.mark.parametrize("eps", [2.0**-8, 2.0**-9])
 def test_shell_sums_match_mpmath(pqa, eps):
@@ -158,6 +168,7 @@ def test_shell_sums_match_mpmath(pqa, eps):
     lhs, tail_lhs = mp_lhs(eps, p, q, alpha, k)
     assert prim.af_exact == pytest.approx(float(af), rel=1e-12)
     assert dual.lhs_norm == pytest.approx(float(lhs), rel=1e-12)
+    assert dual.rhs_norm == pytest.approx(float(mp_rhs(eps, q, k)), rel=1e-12)
     assert prim.tail_exact == pytest.approx(float(tail_ex), rel=1e-9)
     assert dual.tail_lhs == pytest.approx(float(tail_lhs), rel=1e-9)
 
