@@ -3,16 +3,20 @@
 The implementation accumulates everything in log2 space and evaluates the
 three square-function norms as one chain sum, which streams its shells in
 fixed-length chunks until they turn exactly geometric (g(l+1) > 54) and
-sums the rest in closed form. The oracles below check it three ways: naive
-shell sums in plain double arithmetic at eps = 1/4 and 1/8, where the
-largest intermediate is ~2^{450} and doubles still hold it; 40-digit
+sums the rest in closed form; a long streamed head (the dual rhs) is
+summed by Gregory's formula instead. The oracles below check it four ways:
+naive shell sums in plain double arithmetic at eps = 1/4 and 1/8, where
+the largest intermediate is ~2^{450} and doubles still hold it; 40-digit
 mpmath shell sums, shell by shell, of all three norms at eps = 2^-8 and
-2^-9; and invariance under the chunk length.
+2^-9 and of the rhs at 2^-11; invariance under the chunk length; and
+Gregory summation against closed-form geometric sums up to n = 2^44 and
+against the streamed sum.
 The deep grid eps = 2^-9 ... 2^-17 checks slopes and tails where the
-benchmark runs, and a tracemalloc guard keeps every array bounded
-independently of K. Characteristics are cross-checked against the
-independent one-weight scanner, and the test-function norm against its
-closed form eps^{-1/p}.
+benchmark runs, a tracemalloc guard keeps every array bounded
+independently of K, and a work guard counts the summand evaluations of a
+deep row. Characteristics are cross-checked against the independent
+one-weight scanner, and the test-function norm against its closed form
+eps^{-1/p}.
 """
 
 import math
@@ -21,6 +25,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sparselab.sharpness as sharpness
 from sparselab import (
@@ -168,15 +173,131 @@ def test_shell_sums_match_mpmath(pqa, eps):
     lhs, tail_lhs = mp_lhs(eps, p, q, alpha, k)
     assert prim.af_exact == pytest.approx(float(af), rel=1e-12)
     assert dual.lhs_norm == pytest.approx(float(lhs), rel=1e-12)
-    assert dual.rhs_norm == pytest.approx(float(mp_rhs(eps, q, k)), rel=1e-12)
+    assert dual.rhs_norm == pytest.approx(float(mp_rhs(eps, q, k)), rel=1e-14)
     assert prim.tail_exact == pytest.approx(float(tail_ex), rel=1e-9)
     assert dual.tail_lhs == pytest.approx(float(tail_lhs), rel=1e-9)
 
 
 @pytest.mark.parametrize("pqa", [P243, P487])
+def test_gregory_rhs_matches_mpmath(pqa):
+    p, q, alpha = pqa
+    eps = 2.0**-11  # K = 40960 rhs shells, summed by Gregory's formula
+    k = math.ceil(20.0 / eps)
+    assert k >= sharpness._GREGORY_MIN
+    got = dual_quantities(eps, p, q, alpha, k).rhs_norm
+    assert got == pytest.approx(float(mp_rhs(eps, q, k)), rel=1e-14)
+
+
+def _shell_term(c, g, rate):
+    return lambda j: c * sharpness._v_log2_2pow_m1(g * j) - j * rate
+
+
+def mp_log2_geom(n, d):
+    """40-digit log2 sum_{j=1}^{n} 2^{-j d}."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(2) ** -mpmath.mpf(d)
+        return mpmath.log(r * (1 - r**n) / (1 - r), 2)
+
+
+def _assert_gregory(n, c, g, rate, d, want):
+    got, err = sharpness._log2_sum_gregory(n, g, _shell_term(c, g, rate))
+    assert err <= sharpness._GREGORY_TOL
+    assert abs(got - float(want)) * math.log(2.0) <= 1e-14
+    assert sharpness._log2_shell_sum(n, c, g, rate, d) == got
+
+
+@pytest.mark.parametrize("n", [2**14, 10**5, 2**22 + 7, 10**9, 2**44])
+@pytest.mark.parametrize("decay", [1.0, 20.0, 200.0])
+def test_gregory_geometric_series(n, decay):
+    # c = 0: sum_{j=1}^{n} 2^{-j rate}, with g small enough that all n
+    # terms are the head
+    rate = decay / n
+    _assert_gregory(n, 0.0, 54.0 / n, rate, rate, mp_log2_geom(n, rate))
+
+
+@pytest.mark.parametrize("n", [2**14, 10**5, 2**22 + 7, 10**9, 2**44])
+@pytest.mark.parametrize("growth", [0.25, 2.0])
+def test_gregory_difference_of_geometric_series(n, growth):
+    # c = 1: sum_j (2^{gj} - 1) 2^{-j rate} = sum_j 2^{-j d} - sum_j 2^{-j rate}
+    d = 20.0 / n
+    g = growth * d
+    rate = g + d
+    with mpmath.workdps(40):
+        want = mpmath.log(
+            2 ** mp_log2_geom(n, mpmath.mpf(rate) - mpmath.mpf(g)) - 2 ** mp_log2_geom(n, rate), 2
+        )
+    _assert_gregory(n, 1.0, g, rate, d, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    e=st.floats(11.0, 17.6),
+    q_conj=st.sampled_from([4.0 / 3.0, 8.0 / 7.0]),
+    data=st.data(),
+)
+def test_gregory_matches_streamed_rhs_sum(e, q_conj, data):
+    # the dual rhs head at a jittered eps; n, log-uniform, stays within the head 27/eps
+    eps = 2.0**-e
+    log_n = data.draw(st.floats(14.0, min(22.0, math.log2(27.0 / eps))))
+    n = math.floor(2.0**log_n)
+    term = _shell_term(q_conj / 2.0, 2.0 * eps, (q_conj + 1.0) * eps)
+    got, err = sharpness._log2_sum_gregory(n, 2.0 * eps, term)
+    want = sharpness._log2_sum_streamed(1, n + 1, term)
+    assert err <= sharpness._GREGORY_TOL
+    assert abs(got - want) * math.log(2.0) <= 1e-14
+
+
+def test_gregory_falls_back_to_streaming(monkeypatch):
+    eps = 2.0**-12
+    n, g, rate = math.ceil(20.0 / eps), 2.0 * eps, 7.0 / 3.0 * eps
+    term = _shell_term(2.0 / 3.0, g, rate)
+    greg, err = sharpness._log2_sum_gregory(n, g, term)
+    assert 0.0 < err <= sharpness._GREGORY_TOL
+    stream, streamed = sharpness._log2_sum_streamed, []
+
+    def recorded(lo, hi, log_term):
+        streamed.append((lo, hi))
+        return stream(lo, hi, log_term)
+
+    monkeypatch.setattr(sharpness, "_log2_sum_streamed", recorded)
+    assert sharpness._log2_shell_sum(n, 2.0 / 3.0, g, rate, eps) == greg
+    assert streamed == []
+    monkeypatch.setattr(sharpness, "_GREGORY_TOL", 0.0)
+    assert sharpness._log2_shell_sum(n, 2.0 / 3.0, g, rate, eps) == stream(1, n + 1, term)
+    assert streamed == [(1, n + 1)]
+
+
+def test_gregory_error_estimate_flags_a_rough_summand():
+    # 2^{sin j} is not smooth in j on the panel scale 2/g
+    n, g = 2**15, 2.0**-10
+
+    def term(j):
+        return np.sin(j) - 1e-5 * j
+
+    assert sharpness._log2_sum_gregory(n, g, term)[1] > 1e-3
+    assert sharpness._log2_head_sum(n, g, term) == sharpness._log2_sum_streamed(1, n + 1, term)
+
+
+@pytest.mark.parametrize("pqa", [P243, P487])
+def test_deep_dual_row_evaluates_few_summands(pqa, monkeypatch):
+    # streaming would evaluate the rhs summand at all K = 2,621,440 shells
+    evaluate = sharpness._v_log2_2pow_m1
+    points = []
+
+    def counted(x):
+        points.append(np.size(x))
+        return evaluate(x)
+
+    monkeypatch.setattr(sharpness, "_v_log2_2pow_m1", counted)
+    eps = 2.0**-17
+    dual_quantities(eps, *pqa, math.ceil(20.0 / eps))
+    assert 0 < sum(points) <= 10**4
+
+
+@pytest.mark.parametrize("pqa", [P243, P487])
 def test_chunk_length_does_not_move_values(pqa, monkeypatch):
     p, q, alpha = pqa
-    eps = 1.01 * 2.0**-12  # K = 81109 spans two default chunks
+    eps = 1.01 * 2.0**-12  # K = 81109: the coefficient check spans two default chunks
     k = math.ceil(20.0 / eps)
     base = primal_quantities(eps, p, q, alpha, k), dual_quantities(eps, p, q, alpha, k)
     assert base[1].coef_identity_max_rel > 0.0
@@ -187,6 +308,17 @@ def test_chunk_length_does_not_move_values(pqa, monkeypatch):
             for name, a, b in zip(old._fields, new, old):
                 assert a == pytest.approx(b, rel=1e-14, abs=0.0), name
         assert got[1].coef_identity_max_rel == base[1].coef_identity_max_rel
+
+
+@pytest.mark.parametrize("chunk", [2**10, 2**16])
+def test_streamed_sum_across_chunk_seams(chunk, monkeypatch):
+    # 81,109 dual rhs terms span 80 and 2 chunks
+    eps = 1.01 * 2.0**-12
+    n = math.ceil(20.0 / eps)
+    term = _shell_term(2.0 / 3.0, 2.0 * eps, 7.0 / 3.0 * eps)
+    one_chunk = sharpness._log2_sum_streamed(1, n + 1, term)
+    monkeypatch.setattr(sharpness, "_CHUNK", chunk)
+    assert sharpness._log2_sum_streamed(1, n + 1, term) == pytest.approx(one_chunk, rel=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.75, 0.875])
@@ -206,6 +338,27 @@ def test_coef_identity_in_place_matches_array_expressions(alpha):
         )
         expected = float(np.max(np.abs(np.expm1((coef_a - coef_b) * math.log(2.0)))))
         assert sharpness._coef_identity_max_rel(eps, alpha, k_top) == expected
+
+
+@pytest.mark.parametrize("alpha", [0.75, 0.875])
+@pytest.mark.parametrize("e", [9.1, 10.7])
+def test_coef_identity_negative_extreme(alpha, e):
+    # here min_k (a_k - b_k) = -2 max_k (a_k - b_k), so the check is set by
+    # its negative extreme
+    eps = 2.0**-e
+    k_top = math.ceil(20.0 / eps)
+    k = np.arange(k_top + 1, dtype=float)
+    log2_eps = math.log2(eps)
+    coef_a = k * (alpha - eps) - 0.5 * log2_eps - 1.0
+    coef_b = (
+        alpha * k
+        + (0.5 * log2_eps + eps * k)
+        + (-(2.0 * eps) * k - math.log2(2.0 * eps))
+    )
+    diff = coef_a - coef_b
+    assert -diff.min() > diff.max() > 0.0
+    expected = float(np.max(np.abs(np.expm1(diff * math.log(2.0)))))
+    assert sharpness._coef_identity_max_rel(eps, alpha, k_top) == expected
 
 
 @pytest.mark.parametrize("pqa,variant", [
