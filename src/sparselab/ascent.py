@@ -28,12 +28,26 @@ Because every cube of a sparse family is a contiguous run of partition
 atoms, cube sums and their transposes are products with the 0/1
 cube-by-atom incidence matrix, which the objective takes from the
 family's compiled geometry (see dyadic.FamilyGeometry).
+
+`CubeObjective` is one kernel in two pieces, with its exponents bound once
+(a power of 1 returns its argument, and F^(e-1) is skipped at e = 1):
+- the forward piece gives F, h, sn = sum omega h^t and sd = sum sigma f^s,
+  hence log J = log(sn)/t - (e/s) log(sd);
+- the pullback piece gives w = range_sum(omega h^(t-1)), g and the gradient.
+Value sweeps (`value`, `log_value`) run the forward piece alone;
+`log_value_and_grad`, the endpoint certificate, runs both. Each pass of the
+fixed-point loop runs both without log J (`_step`): it returns which starts
+still move and g. The floating-point operations, their order and the row
+batches are those of a single pass computing all three, so every value is
+bitwise what that pass gives (tests/test_ascent_kernel.py keeps it as the
+reference).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -59,68 +73,93 @@ class CubeObjective:
             object.__setattr__(self, name, arr)
         if self.incidence.shape != (len(self.gamma), self.n_atoms):
             raise ParameterError("one incidence row per cube coefficient is required")
+        # Bound once per objective: the transposed incidence (x @ incidence.T
+        # sums atom rows per cube, (B, n) -> (B, m); v @ incidence adds v_Q to
+        # every atom of Q) and each power, x itself at exponent 1.
+        bind = partial(object.__setattr__, self)
+        bind("_incidence_t", self.incidence.T)
+        bind("_pow_e", _power(self.e))
+        bind("_pow_t", _power(self.t))
+        bind("_pow_s1", _power(self.s - 1.0))
+        bind("_pow_t1", _power(self.t - 1.0))
+        # at e = 1, gamma F^(e-1) is gamma itself: gamma * 1 * w is gamma * w to the bit
+        bind("_pow_e1", None if self.e == 1.0 else _power(self.e - 1.0))
+        bind("_e_sigma", self.e * self.sigma_atom)
 
     @property
     def n_atoms(self) -> int:
         return len(self.sigma_atom)
 
-    def _range_sum(self, x: np.ndarray) -> np.ndarray:
-        """Per-cube sums of atom rows: (B, n) -> (B, m)."""
-        return x @ self.incidence.T
+    def _forward(self, f: np.ndarray) -> tuple:
+        """The forward piece at rows f: F, h, f^(s-1), sn and sd.
 
-    def _scatter(self, v: np.ndarray) -> np.ndarray:
-        """Transpose of _range_sum: add v_Q to every atom of Q: (B, m) -> (B, n)."""
-        return v @ self.incidence
+        F = int_Q f dsigma are the cube integrals, h the operator image on
+        atoms, sn = sum omega h^t and sd = sum sigma f^s; they give log J.
+        """
+        big_f = (f * self.sigma_atom) @ self._incidence_t
+        h = (self.gamma * self._pow_e(big_f)) @ self.incidence
+        sn = np.dot(self._pow_t(h), self.omega_atom)
+        fs1 = self._pow_s1(f)
+        sd = np.dot(fs1 * f, self.sigma_atom)
+        return big_f, h, fs1, sn, sd
+
+    def _log_j(self, sn: np.ndarray, sd: np.ndarray) -> np.ndarray:
+        return np.log(sn) / self.t - (self.e / self.s) * np.log(sd)
+
+    def _pullback(self, f, big_f, h, fs1, sn, sd) -> tuple[np.ndarray, np.ndarray]:
+        """The pullback piece: the gradient of log J in log f, and g.
+
+        g = scatter(gamma F^(e-1) range_sum(omega h^(t-1))) is the numerator
+        gradient over e sigma. The gradient is e sigma f (g / sn - f^(s-1) / sd),
+        so it vanishes exactly when f^(s-1) is proportional to g.
+        """
+        w = (self.omega_atom * self._pow_t1(h)) @ self._incidence_t
+        coef = self.gamma if self._pow_e1 is None else self.gamma * self._pow_e1(big_f)
+        g = (coef * w) @ self.incidence
+        grad = self._e_sigma * f * (g / sn[:, None] - fs1 / sd[:, None])
+        return grad, g
 
     @np.errstate(divide="ignore", invalid="ignore")
     def log_value(self, f: np.ndarray) -> np.ndarray:
         """log J(f) per nonnegative row; -inf on rows where the numerator vanishes."""
-        return self._stationarity(np.atleast_2d(f))[0]
-
-    def _forward(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cube integrals F = int_Q f dsigma and the operator image h on atoms."""
-        big_f = self._range_sum(f * self.sigma_atom)
-        return big_f, self._scatter(self.gamma * _pow0(big_f, self.e))
-
-    def _pullback(self, big_f: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """scatter(gamma F^(e-1) range_sum(omega h^(t-1))): the numerator gradient over e sigma."""
-        w = self._range_sum(self.omega_atom * _pow0(h, self.t - 1.0, zero=(self.t < 1.0)))
-        return self._scatter(self.gamma * _pow0(big_f, self.e - 1.0, zero=(self.e < 1.0)) * w)
+        *_, sn, sd = self._forward(np.atleast_2d(f))
+        return self._log_j(sn, sd)
 
     def value(self, f: np.ndarray) -> np.ndarray:
         return np.exp(self.outer * self.log_value(f))
 
     def log_value_and_grad(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """log J, its gradient in u and the pullback g at f = exp(u) (u rows are (B, n))."""
-        return self._stationarity(np.exp(u))
+        f = np.exp(u)
+        fwd = self._forward(f)
+        grad, g = self._pullback(f, *fwd)
+        return self._log_j(fwd[3], fwd[4]), grad, g
 
-    def _stationarity(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """log J, its gradient in log f, and g = _pullback at f (rows are (B, n)).
-
-        The gradient is e sigma f (g / sn - f^(s-1) / sd), so it vanishes
-        exactly when f^(s-1) is proportional to g.
-        """
-        big_f, h = self._forward(f)
-        sn = np.dot(_pow0(h, self.t), self.omega_atom)
-        fs1 = f ** (self.s - 1.0)
-        sd = np.dot(fs1 * f, self.sigma_atom)
-        logj = np.log(sn) / self.t - (self.e / self.s) * np.log(sd)
-        g = self._pullback(big_f, h)
-        grad = self.e * self.sigma_atom * f * (g / sn[:, None] - fs1 / sd[:, None])
-        return logj, grad, g
+    def _step(self, f: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Both pieces without log J: which rows of f still move (residual > tol), and g."""
+        grad, g = self._pullback(f, *self._forward(f))
+        return np.maximum.reduce(np.abs(grad), axis=1) > tol, g
 
 
-def _pow0(x: np.ndarray, p: float, zero: bool = False) -> np.ndarray:
-    """x**p with the convention 0**p = 0 for the masked negative-power case."""
+def _identity(x: np.ndarray) -> np.ndarray:
+    return x
+
+
+def _power(p: float):
+    """The map x -> x**p, bound once: x itself at p = 1, ones at p = 0.
+
+    Negative powers (t - 1 at t < 1, e - 1 at e < 1) take the convention 0**p = 0.
+    """
     if p == 0.0:
-        return np.ones_like(x)
+        return np.ones_like
     if p == 1.0:
-        return x
-    if p < 0.0 or zero:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x > 0.0, x, 1.0) ** p
-        return np.where(x > 0.0, out, 0.0)
-    return x**p
+        return _identity
+    if p < 0.0:
+        def masked_power(x: np.ndarray) -> np.ndarray:
+            positive = x > 0.0
+            return np.where(positive, np.where(positive, x, 1.0) ** p, 0.0)
+        return masked_power
+    return lambda x: x**p
 
 
 # A constant start with a positive, finite value is kept when its Collatz-Wielandt
@@ -191,10 +230,17 @@ def maximize(
     (seed, opts) reproduce bitwise; `certified_upper` is then None and
     `certified_upper_reason` says why. `iterations` counts the passes of both
     phases, a rejected constant start included. restarts = 0 sweeps the
-    candidates only.
+    candidates only. Negative restarts or max_iters, and a tol that is not
+    finite and positive, raise ParameterError.
     """
     if not objective.s > 1.0:
         raise ParameterError(f"the fixed-point step needs s > 1, got {objective.s}")
+    if restarts < 0 or max_iters < 0:
+        raise ParameterError(
+            f"restarts and max_iters must be >= 0, got {restarts} and {max_iters}"
+        )
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
     reason = _bracket_reason(objective)
     if reason is None and restarts == 0:
         reason = "restarts = 0: no start was run"
@@ -225,15 +271,23 @@ def _solve(
     With certify, the Collatz-Wielandt bound is taken from the pullback g of
     the endpoint certificate call; the caller has checked that it holds.
     """
-    power = 1.0 / (objective.s - 1.0)
+    power = _power(1.0 / (objective.s - 1.0))
+    # The moving rows are stepped as one batch, f_moving, in the order of
+    # `moving` (BLAS may round a row differently in another batch, see below).
+    # A row goes back into f when its start stops or the loop ends, so a step
+    # that stops no start gathers and scatters nothing.
     moving = np.arange(len(f))
+    f_moving = f
     iterations = 0
     while len(moving) and iterations < max_iters:
         iterations += 1
-        _, grad, g = objective._stationarity(f[moving])
-        still = np.max(np.abs(grad), axis=1) > tol
-        moving, g = moving[still], g[still]
-        f[moving] = (g / g.max(axis=1, keepdims=True)) ** power
+        still, g = objective._step(f_moving, tol)
+        if not still.all():
+            stopped = ~still
+            f[moving[stopped]] = f_moving[stopped]
+            moving, g = moving[still], g[still]
+        f_moving = power(g / np.maximum.reduce(g, axis=1, keepdims=True))
+    f[moving] = f_moving
 
     u = np.log(f)
     logj, grad, g = objective.log_value_and_grad(u)

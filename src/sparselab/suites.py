@@ -5,7 +5,8 @@ Each trial draws a deterministic random instance and records one row
 testing-constant suite records one row per constant. Conditions that
 are exact theorems rather than implied-constant statements are enforced
 per row and reported as failures that name the suite, seed and
-instance. Observed ratio windows are meant to be compared against the
+instance; so is an unconverged fixed-point solve in the four solver
+suites (prop31, lemma32, lemma34, thm11). Observed ratio windows are meant to be compared against the
 frozen baselines (see the baselines module).
 """
 
@@ -63,15 +64,23 @@ def _row(instance_id: str, rep: ComparabilityReport) -> SuiteRow:
     return SuiteRow(instance_id, float(rep.lhs), float(rep.rhs), float(rep.ratio))
 
 
+def _unconverged(rep: ComparabilityReport) -> list[str]:
+    """The failure of a solver row whose fixed-point solve did not converge."""
+    if rep.extras.get("converged", True):
+        return []
+    return [f"the solver did not converge (residual {rep.extras['residual']:g})"]
+
+
 # Each runner returns the instance's rows and the reasons it failed an
-# exact per-row condition; run_suite names the suite, seed and instance.
+# exact per-row condition, an unconverged solve included for the solver
+# suites; run_suite names the suite, seed and instance.
 
 
 def _rows_prop31(inst: RandomInstance):
     rep = check_prop31(
         inst.family, inst.cfg, inst.omega, inst.sigma, seed=inst.index
     )
-    return [_row(str(inst.index), rep)], []
+    return [_row(str(inst.index), rep)], _unconverged(rep)
 
 
 def _rows_lemma32(inst: RandomInstance):
@@ -79,7 +88,7 @@ def _rows_lemma32(inst: RandomInstance):
         inst.family, inst.cfg, inst.extras["coefs"], inst.omega, inst.sigma,
         seed=inst.index,
     )
-    return [_row(str(inst.index), rep)], []
+    return [_row(str(inst.index), rep)], _unconverged(rep)
 
 
 def _rows_lemma34(inst: RandomInstance):
@@ -88,7 +97,7 @@ def _rows_lemma34(inst: RandomInstance):
         op, inst.extras["p"], inst.extras["q"], inst.omega, inst.sigma,
         seed=inst.index,
     )
-    return [_row(str(inst.index), rep)], []
+    return [_row(str(inst.index), rep)], _unconverged(rep)
 
 
 def _rows_lemma41(inst: RandomInstance):
@@ -136,7 +145,7 @@ def _rows_thm42(inst: RandomInstance):
 def _rows_thm11(inst: RandomInstance):
     rep = check_thm11(inst.family, inst.cfg, inst.omega, inst.sigma, seed=inst.index)
     lower = rep.extras["certified_lower"]
-    reasons = []
+    reasons = _unconverged(rep)
     if lower < rep.extras["characteristic"] * (1.0 - SANDWICH_TOL):
         reasons.append("certified lower bound fell below the characteristic")
     if rep.lhs < lower * (1.0 - SANDWICH_TOL):

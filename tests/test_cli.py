@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -246,6 +247,31 @@ def test_parameter_error_infeasible_exponents(tmp_path, capsys):
     assert err["error"] == "parameter"
 
 
+@pytest.mark.parametrize(
+    "exponents,options",
+    [
+        ({"p": 2, "q": 4, "r": 2, "alpha": 0.75}, {"restarts": -1}),
+        ({"p": 2, "q": 4, "r": 2, "alpha": 0.75}, {"max_iters": -1}),
+        ({"p": 2, "q": 2, "r": 1, "alpha": 1}, {"tol": "nan"}),
+        ({"p": 2, "q": 2, "r": 1, "alpha": 1}, {"tol": 0}),
+    ],
+)
+@pytest.mark.parametrize("command", ["opnorm", "testing"])
+def test_bad_solver_options_are_parameter_errors(tmp_path, capsys, exponents, options, command):
+    payload = dict(
+        CHAIN_INSTANCE,
+        exponents=exponents,
+        family={"kind": "chain", "depth": 3},
+        omega={"kind": "power", "beta": 0},
+        sigma={"kind": "power", "beta": 0},
+        options=options,
+    )
+    inst = write_instance(tmp_path, payload)
+    code, rep, err = run_cli(capsys, [command, "--instance", inst, "--out", str(tmp_path)])
+    assert code == 3 and rep is None
+    assert err["error"] == "parameter" and "must be" in err["message"]
+
+
 def test_degenerate_instance_exit_code(tmp_path, capsys):
     payload = dict(
         CHAIN_INSTANCE,
@@ -296,6 +322,23 @@ def test_verify_refresh_then_pass_then_violation(tmp_path, capsys):
     )
     assert code == 5
     assert "leaves" in report["baseline"] or "no frozen window" in report["baseline"]
+
+
+def test_verify_fails_unconverged_solver_rows(tmp_path, capsys, monkeypatch):
+    real = check_prop31
+
+    def unconverged(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return replace(rep, extras=dict(rep.extras, converged=False))
+
+    monkeypatch.setattr("sparselab.suites.check_prop31", unconverged)
+    argv = ["verify", "--suite", "prop31", "--seed", "7", "--trials", "2",
+            "--out", str(tmp_path), "--refresh-baselines"]
+    code, report, _ = run_cli(capsys, argv)
+    assert code == 5
+    assert [f.split(":")[0] for f in report["failures"]] == [
+        "prop31 seed 7 instance 0", "prop31 seed 7 instance 1"
+    ]
 
 
 def test_verify_csv_bitwise_deterministic(tmp_path, capsys):

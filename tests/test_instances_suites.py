@@ -108,6 +108,27 @@ def test_failures_name_suite_seed_and_instance(monkeypatch):
     )
 
 
+def _solver_report(converged: bool) -> ComparabilityReport:
+    extras = dict(converged=converged, residual=0.5, certified_lower=1.5, characteristic=1.0)
+    return ComparabilityReport("stand-in", 2.0, 1.0, 2.0, "stand-in", extras=extras)
+
+
+@pytest.mark.parametrize(
+    "suite,check",
+    [("prop31", "check_prop31"), ("lemma32", "check_lemma32"),
+     ("lemma34", "lsu_check"), ("thm11", "check_thm11")],
+)
+def test_unconverged_solver_rows_fail(monkeypatch, suite, check):
+    monkeypatch.setattr(f"sparselab.suites.{check}", lambda *a, **k: _solver_report(False))
+    result = run_suite(suite, seed=7, trials=3)
+    assert result.failures == tuple(
+        f"{suite} seed 7 instance {i}: the solver did not converge (residual 0.5)"
+        for i in range(3)
+    )
+    monkeypatch.setattr(f"sparselab.suites.{check}", lambda *a, **k: _solver_report(True))
+    assert run_suite(suite, seed=7, trials=3).failures == ()
+
+
 def test_lemma41_window_is_the_proved_bracket():
     result = run_suite("lemma41", seed=5, trials=12)
     lo, hi = result.ratio_window

@@ -298,6 +298,22 @@ def test_maximize_never_below_candidates():
     assert only.certified_upper is None and "restarts = 0" in only.certified_upper_reason
 
 
+@pytest.mark.parametrize("cfg", [ExponentConfig(2, 2, 1, 1), ExponentConfig(2, 4, 2, 0.75)])
+@pytest.mark.parametrize(
+    "opts",
+    [{"restarts": -1}, {"max_iters": -1}, {"tol": 0.0}, {"tol": -1e-8},
+     {"tol": math.nan}, {"tol": math.inf}],
+)
+def test_maximize_rejects_bad_solver_options(cfg, opts):
+    # with and without the Collatz-Wielandt bracket; restarts = 0 stays valid
+    _, obj = rayleigh_objective(THREE_ATOMS, cfg, LEBESGUE, LEBESGUE)
+    with pytest.raises(ParameterError):
+        maximize(obj, **opts)
+    with pytest.raises(ParameterError):
+        estimate_opnorm(THREE_ATOMS, cfg, LEBESGUE, LEBESGUE, **opts)
+    assert estimate_opnorm(THREE_ATOMS, cfg, LEBESGUE, LEBESGUE, restarts=0).restarts == 0
+
+
 def _spectral_norm(family, gamma, omega, sigma):
     """|| diag(sqrt omega) M^T diag(gamma) M diag(sqrt sigma) ||_2 on the family's atoms.
 
