@@ -153,7 +153,7 @@ def _parse_family(obj: dict, path: str) -> SparseFamily:
 
 
 _KNOWN_TOP = {"exponents", "family", "omega", "sigma", "options"}
-_KNOWN_OPTIONS = {"seed", "restarts", "max_iters", "tol", "depth"}
+_OPTIONS = {"seed": _int, "restarts": _int, "max_iters": _int, "tol": _num, "depth": _int}
 
 
 def load_instance(path: str) -> ParsedInstance:
@@ -180,10 +180,12 @@ def load_instance(path: str) -> ParsedInstance:
     family = _parse_family(_dict(raw, "family", "instance"), "family")
     omega = _parse_weight(_dict(raw, "omega", "instance"), "omega")
     sigma = _parse_weight(_dict(raw, "sigma", "instance"), "sigma")
-    options = dict(raw.get("options", {}))
-    for key in options:
-        if key not in _KNOWN_OPTIONS:
+    raw_options = _dict(raw, "options", "instance") if "options" in raw else {}
+    options = {}
+    for key in raw_options:
+        if key not in _OPTIONS:
             raise InstanceParseError(f"unknown field options.{key}")
+        options[key] = _OPTIONS[key](raw_options, key, "options")
     return ParsedInstance(raw, cfg, family, omega, sigma, options)
 
 
@@ -236,19 +238,17 @@ def _depth_option(args, inst: ParsedInstance) -> Optional[int]:
     """A_infty scan depth from --depth or the instance file; None for the default."""
     if args.depth is not None:
         return args.depth
-    depth = inst.options.get("depth")
-    return None if depth is None else int(depth)
+    return inst.options.get("depth")
 
 
 def _solver_options(args, inst: ParsedInstance) -> dict:
     """Ascent options from the instance file; --seed, when given, wins."""
     opts = inst.options
-    seed = args.seed if args.seed is not None else opts.get("seed", 0)
     return {
-        "restarts": int(opts.get("restarts", 16)),
-        "max_iters": int(opts.get("max_iters", 5000)),
-        "tol": float(opts.get("tol", 1e-8)),
-        "seed": int(seed),
+        "restarts": opts.get("restarts", 16),
+        "max_iters": opts.get("max_iters", 5000),
+        "tol": opts.get("tol", 1e-8),
+        "seed": args.seed if args.seed is not None else opts.get("seed", 0),
     }
 
 

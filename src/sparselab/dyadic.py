@@ -337,15 +337,27 @@ class FamilyGeometry:
 
     Every member is a contiguous run of partition atoms, so the (m, 2)
     array of member atom ranges gives the 0/1 member-by-atom incidence
-    matrix. Containment comes from member levels and positions, the same
-    matrix `carleson_constant` uses without building a partition.
+    matrix. On the family's own atoms (no `part` given) every member is
+    aligned by construction, and its range is read off the atoms' left
+    endpoints; an outside partition goes through `atom_ranges`, which
+    raises ParameterError naming a member it does not align with.
+    Containment comes from member levels and positions, the same matrix
+    `carleson_constant` uses without building a partition.
     """
 
     def __init__(self, family: SparseFamily, part: AtomPartition | None = None):
         self.family = family
-        self.part = atoms_of(family) if part is None else part
         self.levels, self.positions = interval_arrays(family.members)
-        self.ranges = self.part.atom_ranges(self.levels, self.positions)
+        if part is None:
+            self.part = part = atoms_of(family)
+            shift = part.finest_level - self.levels
+            self.ranges = np.stack([
+                np.searchsorted(part.left_ticks, self.positions << shift),
+                np.searchsorted(part.left_ticks, (self.positions + 1) << shift),
+            ], axis=1)
+        else:
+            self.part = part
+            self.ranges = part.atom_ranges(self.levels, self.positions)
         lo, hi = self.ranges[:, :1], self.ranges[:, 1:]
         atom = np.arange(len(self.part))
         self.incidence = ((atom >= lo) & (atom < hi)).astype(float)  # (m, n)

@@ -68,7 +68,7 @@ def build_principal_cubes(
         top = stack.pop()
         principals.append(top)
         hits = np.flatnonzero(inside[:, top] & (avgs > factor * avgs[top]))
-        kids = hits[~inside[np.ix_(hits, hits)].any(axis=1)]
+        kids = hits[~inside[hits][:, hits].any(axis=1)]
         children[members[top]] = tuple(members[i] for i in kids)
         stack.extend(kids)
     principals.sort()
@@ -77,7 +77,7 @@ def build_principal_cubes(
     # level, so the deepest of them has the largest index.
     chosen = np.array(principals)
     deepest = np.where(geom.contains[chosen], chosen[:, None], -1).max(axis=0)
-    parent = {q: members[i] for q, i in zip(members, deepest)}
+    parent = {q: members[i] for q, i in zip(members, deepest.tolist())}
     return StoppingFamily(
         family=family,
         principals=tuple(members[i] for i in principals),

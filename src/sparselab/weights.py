@@ -16,6 +16,7 @@ lower estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -226,26 +227,46 @@ def weighted_average(f, w: Weight, interval: DyadicInterval) -> float:
     return weighted_integral(f, w, interval) / denom
 
 
-def _level_masses(w: Weight, top: DyadicInterval, down: int) -> list[np.ndarray]:
-    """Masses of top's descendants k levels down, for k = 0..down, in one kernel call."""
-    heap = w.masses(*subtree_arrays(top, down))
-    return [heap[(1 << k) - 1 : (2 << k) - 1] for k in range(down + 1)]
+@functools.lru_cache(maxsize=8)
+def _scan_layout(down: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The subtree `down` levels deep, deepest level first, left to right.
+
+    Returns, per entry, the levels k below the top and the position j
+    within that level, and the number 2^(down - k) of depth atoms the entry
+    covers. Level k starts at entry 2^(down+1) - 2^(k+1).
+    """
+    k = np.repeat(np.arange(down, -1, -1), 1 << np.arange(down, -1, -1))
+    j = np.arange(len(k)) - ((2 << down) - (2 << k))
+    layout = (k, j, 1 << (down - k))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+def _ancestor_averages(w: Weight, top: DyadicInterval, down: int):
+    """Subtree masses in `_scan_layout` order and each depth atom's ancestor averages.
+
+    The masses come from one kernel call. Row i of the (down + 1, 2^down)
+    array holds, per atom, the average of its ancestor i levels up.
+    """
+    k, j, cover = _scan_layout(down)
+    levels = top.level + k
+    masses = w.masses(levels, (top.position << k) + j)
+    return masses, np.repeat(np.ldexp(masses, levels), cover).reshape(down + 1, -1)
 
 
 def dyadic_maximal(w: Weight, top: DyadicInterval, depth: int) -> StepFunction:
     """Maximal ancestor average max_{a <= Q' <= top} <w>_{Q'} per depth atom.
 
     `depth` is absolute: atoms live at that level, so depth >= top.level.
+    The value on an atom is the largest entry of its column of the
+    level-by-atom array of ancestor averages.
     """
     if depth < top.level:
         raise ParameterError("maximal-function depth is coarser than the interval")
     down = depth - top.level
-    best = None
-    for k, level_masses in enumerate(_level_masses(w, top, down)):
-        avgs = level_masses * math.ldexp(1.0, top.level + k)
-        tiled = np.repeat(avgs, 1 << (down - k))
-        best = tiled if best is None else np.maximum(best, tiled)
-    return StepFunction(uniform_partition(top, down), best, nonneg=True)
+    _, averages = _ancestor_averages(w, top, down)
+    return StepFunction(uniform_partition(top, down), averages.max(axis=0), nonneg=True)
 
 
 @dataclass(frozen=True)
@@ -262,30 +283,39 @@ def ainfty(w: Weight, root: DyadicInterval = ROOT, depth: int = 10) -> Character
     The maximal function is dyadic and truncated at `depth`, so the result
     is a lower estimate of the continuous characteristic. It is exact for
     the finite test set scanned, >= 1, and nondecreasing in depth.
+
+    One pass over the subtree: the level-by-atom array of ancestor averages
+    is turned in place into running maxima over the ancestors from the
+    atom's level up to each Q's level, and each level's integrals are
+    contiguous block sums of its row, pairwise as NumPy sums them. The
+    ratios are laid out deepest level first, so one argmax breaks ties
+    toward the deepest level and then the leftmost interval. The scan holds
+    (depth - root.level + 1) * 2^(depth - root.level) floats.
     """
     down = depth - root.level
     if down < 0:
         raise ParameterError("depth is coarser than the root interval")
-    level_masses = _level_masses(w, root, down)
-    if level_masses[0][0] <= 0.0:
+    masses, running = _ancestor_averages(w, root, down)
+    if masses[-1] <= 0.0:
         raise DegenerateInstanceError("weight has zero mass on the root")
-    best_val = 1.0
-    best_q = root
-    # running[a] = max average over ancestors of atom a up to the current level
-    running = level_masses[down] * math.ldexp(1.0, depth)
-    for k in range(down, -1, -1):
-        width = 1 << (down - k)
-        if k < down:
-            avgs = level_masses[k] * math.ldexp(1.0, root.level + k)
-            running = np.maximum(np.repeat(avgs, width), running)
-        integrals = running.reshape(-1, width).sum(axis=1) * math.ldexp(1.0, -depth)
-        masses_k = level_masses[k]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(masses_k > 0.0, integrals / masses_k, 0.0)
-        j = int(np.argmax(ratios))
-        if ratios[j] > best_val:
-            best_val = float(ratios[j])
-            best_q = DyadicInterval(root.level + k, (root.position << k) + j)
+    integrals = np.empty_like(masses)
+    end = 0
+    for i in range(down + 1):
+        # row i becomes the largest average over ancestors 0..i levels up;
+        # each interval i levels up integrates 2^i consecutive atoms
+        if i:
+            np.maximum(running[i - 1], running[i], out=running[i])
+        start, end = end, end + (1 << (down - i))
+        np.add.reduce(running[i].reshape(-1, 1 << i), axis=1, out=integrals[start:end])
+    integrals *= math.ldexp(1.0, -depth)
+    ratios = np.divide(integrals, masses, out=np.zeros_like(masses), where=masses > 0.0)
+    n = int(np.argmax(ratios))
+    best_val, best_q = 1.0, root
+    if ratios[n] > best_val:
+        k, j, _ = _scan_layout(down)
+        below, at = int(k[n]), int(j[n])
+        best_val = float(ratios[n])
+        best_q = DyadicInterval(root.level + below, (root.position << below) + at)
     return CharacteristicReport(
         value=best_val,
         attained_at=best_q,

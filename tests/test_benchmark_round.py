@@ -3,7 +3,9 @@
 perfbench/workloads.py reads the library directly (for example
 `testing._default_depth`, the order of the sweep tuples and the report
 extras); a change that breaks one of those reads would otherwise only
-surface as a failed benchmark run.
+surface as a failed benchmark run. Under perfbench/tracer.py, round 0 must
+also reach the traced layers that do its work, so the per-layer figures
+keep measuring that work.
 """
 
 import importlib.util
@@ -33,7 +35,15 @@ def _load_workloads():
     return module
 
 
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 workloads = _load_workloads()
+tracer = _load_tracer()
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
@@ -50,3 +60,20 @@ def test_round_zero_passes(name):
         if why
     ]
     assert not failures
+
+
+# testing-sums: one verify_thm42 (two scans) and three geometries per round;
+# opnorm: two scans and one geometry for each of its 60 instances
+@pytest.mark.parametrize(
+    "name,ainfty_calls,atoms_of_calls", [("testing-sums", 2, 3), ("opnorm", 120, 60)]
+)
+def test_round_zero_goes_through_the_traced_layers(name, ainfty_calls, atoms_of_calls):
+    wl = workloads.WORKLOADS[name]
+    inputs = wl.setup(sparselab, 1)
+    ops = wl.round_ops(sparselab, inputs, wl.prepare(inputs), 0)
+    with tracer.Tracer() as traced:
+        for op in ops:
+            op.call()
+    summary = traced.summary()
+    assert summary["weights.ainfty"]["calls"] == ainfty_calls
+    assert summary["dyadic.atoms_of"]["calls"] == atoms_of_calls

@@ -252,7 +252,7 @@ def test_parameter_error_infeasible_exponents(tmp_path, capsys):
     [
         ({"p": 2, "q": 4, "r": 2, "alpha": 0.75}, {"restarts": -1}),
         ({"p": 2, "q": 4, "r": 2, "alpha": 0.75}, {"max_iters": -1}),
-        ({"p": 2, "q": 2, "r": 1, "alpha": 1}, {"tol": "nan"}),
+        ({"p": 2, "q": 2, "r": 1, "alpha": 1}, {"tol": math.nan}),  # written as NaN
         ({"p": 2, "q": 2, "r": 1, "alpha": 1}, {"tol": 0}),
     ],
 )
@@ -270,6 +270,33 @@ def test_bad_solver_options_are_parameter_errors(tmp_path, capsys, exponents, op
     code, rep, err = run_cli(capsys, [command, "--instance", inst, "--out", str(tmp_path)])
     assert code == 3 and rep is None
     assert err["error"] == "parameter" and "must be" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"restarts": "abc"},
+        {"seed": "x"},
+        {"restarts": 1.5},
+        {"max_iters": True},
+        {"tol": "nan"},
+        {"depth": 6.0},
+    ],
+)
+@pytest.mark.parametrize("command", ["opnorm", "testing"])
+def test_mistyped_options_are_parse_errors(tmp_path, capsys, options, command):
+    # every option is type-checked when the file is read, before any solver runs
+    inst = write_instance(tmp_path, dict(CHAIN_INSTANCE, options=options))
+    code, rep, err = run_cli(capsys, [command, "--instance", inst, "--out", str(tmp_path)])
+    (key,) = options
+    assert code == 2 and rep is None
+    assert err["error"] == "parse" and f"options.{key}" in err["message"]
+
+
+def test_options_must_be_an_object(tmp_path, capsys):
+    inst = write_instance(tmp_path, dict(CHAIN_INSTANCE, options=[["seed", 1]]))
+    code, _, err = run_cli(capsys, ["opnorm", "--instance", inst, "--out", str(tmp_path)])
+    assert code == 2 and err["error"] == "parse" and "instance.options" in err["message"]
 
 
 def test_degenerate_instance_exit_code(tmp_path, capsys):

@@ -10,16 +10,19 @@ families are the random depth-6 subtrees the suites run on.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sparselab import (
     ROOT,
+    AtomPartition,
     DyadicInterval,
     ExponentConfig,
     FamilyGeometry,
     MeasureEstimateQuery,
+    ParameterError,
     PiecewiseWeight,
     PositiveDyadicOperator,
     PowerWeight,
@@ -38,12 +41,14 @@ from sparselab import (
     lsu_testing_sums,
     make_instance,
     principal_sum_bound,
+    subdivide,
     two_weight_char,
     verify_thm42,
     weighted_average,
 )
 from sparselab import testing_T as _testing_T
 from sparselab import testing_Tstar as _testing_Tstar
+from sparselab.instances import SUITES
 
 TRIALS = range(12)
 
@@ -87,6 +92,36 @@ def test_geometry_matches_encloses_and_atom_range(suite):
         assert np.array_equal(geom.incidence, incidence)
         assert np.array_equal(geom.candidates, np.vstack([incidence, np.ones(len(part))]))
         assert geom.lengths.tolist() == [q.length for q in family.members]
+
+
+def _suite_families(seed):
+    # instances at one (seed, index) share their family across suites, so
+    # each suite takes its own indices
+    for n, suite in enumerate(SUITES):
+        for i in TRIALS:
+            yield make_instance(suite, seed, len(TRIALS) * n + i).family
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_own_atom_ranges_match_atom_ranges(seed):
+    for family in _suite_families(seed):
+        geom = FamilyGeometry(family)
+        expected = geom.part.atom_ranges(geom.levels, geom.positions)
+        assert geom.ranges.dtype == expected.dtype
+        assert np.array_equal(geom.ranges, expected)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_outside_partition_names_an_unaligned_member(seed):
+    for family in _suite_families(seed):
+        # a partition at the deepest member level, except that the deepest
+        # member's parent stays one atom; members inside it are unaligned
+        up = family.members[-1].parent()
+        atoms = [a for a in subdivide(ROOT, up.level + 1) if not up.encloses(a)]
+        part = AtomPartition(ROOT, sorted(atoms + [up], key=lambda a: a.left))
+        unaligned = next(q for q in family.members if q != up and up.encloses(q))
+        with pytest.raises(ParameterError, match=re.escape(f"{unaligned} is not aligned")):
+            FamilyGeometry(family, part)
 
 
 @pytest.mark.parametrize("suite", ["thm42", "lemma34", "lemma41", "thm11"])
