@@ -27,7 +27,8 @@ confirms it; all others run seeded multi-start iterations.
 Because every cube of a sparse family is a contiguous run of partition
 atoms, cube sums and their transposes are products with the 0/1
 cube-by-atom incidence matrix, which the objective takes from the
-family's compiled geometry (see dyadic.FamilyGeometry).
+family's compiled geometry (see dyadic.FamilyGeometry). The objective's
+`candidates` are its rows (the cube indicators), then the constant function.
 
 `CubeObjective` is one kernel in two pieces, with its exponents bound once
 (a power of 1 returns its argument, and F^(e-1) is skipped at e = 1):
@@ -89,6 +90,11 @@ class CubeObjective:
     @property
     def n_atoms(self) -> int:
         return len(self.sigma_atom)
+
+    @property
+    def candidates(self) -> np.ndarray:
+        """The cube indicators (the incidence rows), then the constant function."""
+        return np.vstack([self.incidence, np.ones(self.n_atoms)])
 
     def _forward(self, f: np.ndarray) -> tuple:
         """The forward piece at rows f: F, h, f^(s-1), sn and sd.
@@ -179,7 +185,7 @@ class AscentResult:
     converged: bool
     residual: float
     restart_values: np.ndarray
-    candidate_values: np.ndarray  # one per extra candidate row; -inf where not finite
+    candidate_values: np.ndarray  # one per objective candidate row; -inf where not finite
     from_candidate: bool
     starts: int  # fixed-point starts run, a rejected constant start included
     certified_upper: float | None  # bound on the maximum, on the scale of value
@@ -210,15 +216,15 @@ def maximize(
     max_iters: int = 5000,
     tol: float = 1e-8,
     seed: int = 0,
-    extra_candidates: np.ndarray | None = None,
 ) -> AscentResult:
-    """Fixed-point iteration from one or more starts plus a sweep of candidate functions.
+    """Fixed-point iteration from one or more starts plus a sweep of the objective's candidates.
 
-    Each step sets f <- g^(1/(s-1)) scaled to maximum 1, on the starts whose
+    The one solver entry and the only holder of the solver defaults. Each
+    step sets f <- g^(1/(s-1)) scaled to maximum 1, on the starts whose
     residual max |d log J / d log f| still exceeds tol. The value is the max
-    over the endpoints and the candidate rows (e.g. cube indicators), whose
-    values are returned as `candidate_values`; `residual` is the largest
-    endpoint residual, converged means <= tol.
+    over the endpoints and `objective.candidates` (the cube indicators, then
+    the constant function), whose values are returned as `candidate_values`;
+    `residual` is the largest endpoint residual, converged means <= tol.
 
     Where the Collatz-Wielandt bound holds (`_bracket_reason` is None) and
     restarts >= 1, one start runs: the constant function. It is kept, with
@@ -246,14 +252,13 @@ def maximize(
         reason = "restarts = 0: no start was run"
     starts, iterations = 0, 0  # of a rejected constant start
     if reason is None:
-        single = _solve(objective, np.ones((1, objective.n_atoms)), max_iters, tol,
-                        extra_candidates, certify=True)
+        single = _solve(objective, np.ones((1, objective.n_atoms)), max_iters, tol, certify=True)
         if single.certified_upper is not None:
             return single
         reason, starts, iterations = single.certified_upper_reason, single.starts, single.iterations
     rng = np.random.default_rng(seed)
     f = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(restarts, objective.n_atoms)))
-    res = _solve(objective, f, max_iters, tol, extra_candidates, certify=False)
+    res = _solve(objective, f, max_iters, tol, certify=False)
     return replace(res, starts=res.starts + starts, iterations=res.iterations + iterations,
                    certified_upper_reason=reason)
 
@@ -263,10 +268,9 @@ def _solve(
     f: np.ndarray,
     max_iters: int,
     tol: float,
-    extra_candidates: np.ndarray | None,
     certify: bool,
 ) -> AscentResult:
-    """Iterate the starts f (rows, updated in place), certify and sweep the candidates.
+    """Iterate the starts f (rows, updated in place), certify and sweep `objective.candidates`.
 
     With certify, the Collatz-Wielandt bound is taken from the pullback g of
     the endpoint certificate call; the caller has checked that it holds.
@@ -295,12 +299,9 @@ def _solve(
     # The endpoints and the candidates are valued as two batches: BLAS may
     # round a row differently with other rows beside it, and a candidate's
     # value must not depend on the restarts (see indicator_lower_bound).
-    rows, vals = [f], [objective.value(f)]
-    if extra_candidates is not None and len(extra_candidates):
-        rows.append(np.atleast_2d(np.asarray(extra_candidates, dtype=float)))
-        vals.append(objective.value(rows[-1]))
-    allf = np.concatenate(rows, axis=0)
-    vals = np.concatenate(vals)
+    candidates = objective.candidates
+    allf = np.concatenate([f, candidates], axis=0)
+    vals = np.concatenate([objective.value(f), objective.value(candidates)])
     vals = np.where(np.isfinite(vals), vals, -np.inf)
     best = int(np.argmax(vals))
     maximizer = allf[best]

@@ -154,6 +154,7 @@ def _parse_family(obj: dict, path: str) -> SparseFamily:
 
 _KNOWN_TOP = {"exponents", "family", "omega", "sigma", "options"}
 _OPTIONS = {"seed": _int, "restarts": _int, "max_iters": _int, "tol": _num, "depth": _int}
+_SOLVER_OPTIONS = ("seed", "restarts", "max_iters", "tol")
 
 
 def load_instance(path: str) -> ParsedInstance:
@@ -242,14 +243,11 @@ def _depth_option(args, inst: ParsedInstance) -> Optional[int]:
 
 
 def _solver_options(args, inst: ParsedInstance) -> dict:
-    """Ascent options from the instance file; --seed, when given, wins."""
-    opts = inst.options
-    return {
-        "restarts": opts.get("restarts", 16),
-        "max_iters": opts.get("max_iters", 5000),
-        "tol": opts.get("tol", 1e-8),
-        "seed": args.seed if args.seed is not None else opts.get("seed", 0),
-    }
+    """The solver options the instance file sets, --seed winning; `maximize` defaults the rest."""
+    opts = {k: v for k, v in inst.options.items() if k in _SOLVER_OPTIONS}
+    if args.seed is not None:
+        opts["seed"] = args.seed
+    return opts
 
 
 @dataclass(frozen=True, eq=False)

@@ -239,10 +239,6 @@ class AtomPartition:
     def __len__(self) -> int:
         return len(self.levels)
 
-    @property
-    def lengths(self) -> list[float]:
-        return [a.length for a in self.atoms]
-
     def atom_ranges(self, levels: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Half-open atom index ranges, one (i0, i1) row per dyadic interval.
 
@@ -379,11 +375,6 @@ class FamilyGeometry:
             w.masses(self.part.levels, self.part.positions),
             w.masses(self.levels, self.positions),
         )
-
-    @property
-    def candidates(self) -> np.ndarray:
-        """The member indicators and the constant function, one row each."""
-        return np.vstack([self.incidence, np.ones(len(self.part))])
 
 
 def uniform_partition(interval: DyadicInterval, depth_below: int) -> AtomPartition:

@@ -4,8 +4,9 @@ The operator sends f to (sum_Q (|Q|^{-alpha} int_Q f dsigma)^r 1_Q)^{1/r}
 over the members of a sparse family. Everything is evaluated exactly on
 atom partitions, through the family's compiled geometry (atoms, member
 atom ranges and the member-by-atom incidence matrix; see
-dyadic.FamilyGeometry), which one call builds once and shares between the
-solver objective and the candidate sweep, whose indicator rows also give
+dyadic.FamilyGeometry), which one call builds once for the solver
+objective. `ascent.maximize` sweeps the objective's own candidates, the
+member indicators and the constant function, and the indicator rows give
 the certified bound. The only non-exact quantity is the fixed-point
 estimate of the operator norm, which carries a stationarity residual, is
 bracketed from below by the certified indicator bound and, when p = q and
@@ -80,37 +81,29 @@ def _require_mass(geom: FamilyGeometry, member_masses: np.ndarray, name: str) ->
 
 
 def indicator_lower_bound(
-    family: SparseFamily,
-    cfg: ExponentConfig,
-    omega: Weight,
-    sigma: Weight,
-    part: AtomPartition | None = None,
+    family: SparseFamily, cfg: ExponentConfig, omega: Weight, sigma: Weight
 ) -> float:
     """Certified operator-norm lower bound from indicator test functions.
 
     Takes the best Rayleigh quotient over the member indicators 1_Q,
     evaluated by the solver objective in the batch that `maximize` sweeps
-    (`geom.candidates`), so it equals `estimate_opnorm(...).certified_lower`
+    (`obj.candidates`), so it equals `estimate_opnorm(...).certified_lower`
     bitwise. It is always at least the two-weight characteristic because
     the single-cube term already equals
     |Q|^{-alpha} sigma(Q) * omega(Q)^{1/q} / sigma(Q)^{1/p}. The tests
     check it against the cube-by-cube `apply_sparse` path.
     """
-    geom = FamilyGeometry(family, part)
+    geom = FamilyGeometry(family)
     obj, sig_q = _objective(geom, cfg, omega, sigma)
     _require_mass(geom, sig_q, "sigma")
-    return float(np.max(obj.value(geom.candidates)[: len(sig_q)]))
+    return float(np.max(obj.value(obj.candidates)[: len(sig_q)]))
 
 
 def rayleigh_objective(
-    family: SparseFamily,
-    cfg: ExponentConfig,
-    omega: Weight,
-    sigma: Weight,
-    part: AtomPartition | None = None,
+    family: SparseFamily, cfg: ExponentConfig, omega: Weight, sigma: Weight
 ) -> tuple[AtomPartition, CubeObjective]:
     """The operator-norm quotient as a cube-sum objective on family atoms."""
-    geom = FamilyGeometry(family, part)
+    geom = FamilyGeometry(family)
     return geom.part, _objective(geom, cfg, omega, sigma)[0]
 
 
@@ -123,7 +116,6 @@ class OpNormEstimate:
     iterations: int
     converged: bool
     residual: float
-    seed: int
     certified_upper: float | None  # Collatz-Wielandt bound at p = q, r <= q
     certified_upper_reason: str | None  # why certified_upper is None
 
@@ -133,37 +125,34 @@ def estimate_opnorm(
     cfg: ExponentConfig,
     omega: Weight,
     sigma: Weight,
-    restarts: int = 16,
-    max_iters: int = 5000,
-    tol: float = 1e-8,
-    seed: int = 0,
+    **solver,
 ) -> OpNormEstimate:
     """Fixed-point solve of the operator-norm quotient (ascent.maximize).
 
-    Reports the stationarity residual of the endpoints. Cube indicators and
-    the constant function are always swept as candidates, so the estimate
-    never falls below the certified bound. When p = q and 1 <= r <= q, one
-    start (the constant function) runs and `certified_upper` brackets the
-    norm from above; `restarts` seeded starts run elsewhere, and also there
-    when the bracket fails, with the reason in `certified_upper_reason`.
-    `restarts=0` sweeps the candidates only. The estimate's `restarts` is
-    the number of starts run.
+    The solver options (`restarts`, `max_iters`, `tol`, `seed`) go to
+    `maximize` unchanged. Reports the stationarity residual of the
+    endpoints. Cube indicators and the constant function are always swept
+    as candidates, so the estimate never falls below the certified bound.
+    When p = q and 1 <= r <= q, one start (the constant function) runs and
+    `certified_upper` brackets the norm from above; `restarts` seeded
+    starts run elsewhere, and also there when the bracket fails, with the
+    reason in `certified_upper_reason`. `restarts=0` sweeps the candidates
+    only. The estimate's `restarts` is the number of starts run.
     """
-    opts = dict(restarts=restarts, max_iters=max_iters, tol=tol, seed=seed)
-    return _estimate(FamilyGeometry(family), cfg, omega, sigma, **opts)
+    return _estimate(FamilyGeometry(family), cfg, omega, sigma, **solver)
 
 
 def _estimate(
-    geom: FamilyGeometry, cfg: ExponentConfig, omega: Weight, sigma: Weight, **opts
+    geom: FamilyGeometry, cfg: ExponentConfig, omega: Weight, sigma: Weight, **solver
 ) -> OpNormEstimate:
-    """estimate_opnorm on an already built geometry.
+    """estimate_opnorm on an already built geometry, `solver` forwarded to `maximize`.
 
     The certified bound is the best member indicator among the candidates
-    the solver sweeps (the incidence rows of `geom.candidates`).
+    the solver sweeps (the incidence rows of `obj.candidates`).
     """
     obj, sig_q = _objective(geom, cfg, omega, sigma)
     _require_mass(geom, sig_q, "sigma")
-    res = maximize(obj, extra_candidates=geom.candidates, **opts)
+    res = maximize(obj, **solver)
     return OpNormEstimate(
         certified_lower=float(np.max(res.candidate_values[: len(sig_q)])),
         ascent_value=res.value,
@@ -172,7 +161,6 @@ def _estimate(
         iterations=res.iterations,
         converged=res.converged,
         residual=res.residual,
-        seed=opts["seed"],
         certified_upper=res.certified_upper,
         certified_upper_reason=res.certified_upper_reason,
     )

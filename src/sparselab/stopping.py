@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily
-from .errors import DegenerateInstanceError
 from .functions import StepFunction
+from .sparse import _require_mass
 from .weights import Weight, product_masses, weighted_integral
 
 
@@ -49,9 +49,7 @@ def build_principal_cubes(
     members = family.members
     geom = FamilyGeometry(family)
     _, sig_q = geom.masses(sigma)
-    zero = np.flatnonzero(sig_q <= 0.0)
-    if len(zero):
-        raise DegenerateInstanceError(f"sigma has zero mass on member {members[zero[0]]}")
+    _require_mass(geom, sig_q, "sigma")
     if isinstance(f, StepFunction):
         integrals = np.array([weighted_integral(f, sigma, q) for q in members])
     else:

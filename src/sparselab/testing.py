@@ -124,25 +124,19 @@ def check_prop31(
     cfg: ExponentConfig,
     omega: Weight,
     sigma: Weight,
-    restarts: int = 16,
-    max_iters: int = 5000,
-    tol: float = 1e-8,
-    seed: int = 0,
+    **solver,
 ) -> ComparabilityReport:
     """Operator norm (to the r) against the testing-constant bound.
 
-    lhs = estimate^r; rhs = T + T* when r < p, T alone when r >= p. The
-    solver runs as in `estimate_opnorm`: one start where p = q and r <= q,
-    `restarts` seeded starts elsewhere and where the bracket fails.
+    lhs = estimate^r; rhs = T + T* when r < p, T alone when r >= p. `solver`
+    goes to `maximize` as in `estimate_opnorm`: one start where p = q and
+    r <= q, `restarts` seeded starts elsewhere and where the bracket fails.
     `certified_upper` is the estimate's Collatz-Wielandt bound to the r, an
     upper bound on lhs, or None where the bracket does not apply or fails.
     The extras also carry `testing_T` and `testing_Tstar` (None when r >= p).
     """
     geom = FamilyGeometry(family)
-    est = _estimate(
-        geom, cfg, omega, sigma,
-        restarts=restarts, max_iters=max_iters, tol=tol, seed=seed,
-    )
+    est = _estimate(geom, cfg, omega, sigma, **solver)
     masses = geom.masses(omega), geom.masses(sigma)
     t_val = _testing_T(geom, cfg, *masses)
     tstar = None
@@ -173,21 +167,17 @@ def check_thm11(
     omega: Weight,
     sigma: Weight,
     ainfty_depth: Optional[int] = None,
-    restarts: int = 16,
-    max_iters: int = 5000,
-    tol: float = 1e-8,
-    seed: int = 0,
+    **solver,
 ) -> ComparabilityReport:
     """Operator-norm estimate against the mixed-characteristic bound (Theorem 1.1).
 
-    lhs is `estimate_opnorm`, rhs is `theorem_rhs` with the A_infty scans run
-    to `ainfty_depth` (default `_default_depth`). The extras carry the
-    characteristics, the scan depth, the branch, the estimate's diagnostics
-    and `lower_ratio` = certified_lower / estimate under the report rule.
+    lhs is `estimate_opnorm` with `solver`, rhs is `theorem_rhs` with the
+    A_infty scans run to `ainfty_depth` (default `_default_depth`). The
+    extras carry the characteristics, the scan depth, the branch, the
+    estimate's diagnostics and `lower_ratio` = certified_lower / estimate
+    under the report rule.
     """
-    est = estimate_opnorm(
-        family, cfg, omega, sigma, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed
-    )
+    est = estimate_opnorm(family, cfg, omega, sigma, **solver)
     depth, char, a_sig, a_om = _characteristics(family, cfg, omega, sigma, ainfty_depth)
     return _report(
         "thm11",
@@ -216,16 +206,15 @@ def check_lemma32(
     coefs: np.ndarray,
     omega: Weight,
     sigma: Weight,
-    restarts: int = 16,
-    max_iters: int = 5000,
-    tol: float = 1e-8,
     seed: int = 0,
+    **solver,
 ) -> ComparabilityReport:
     """Equivalence of the two localized suprema over test functions.
 
     I maximizes || sum c_Q (int_Q f dsigma)^r 1_Q ||_{L^{q/r}_omega} over
     ||f||_{L^p_sigma} <= 1; II the linearized form over ||g||_{L^{p/r}_sigma}
     <= 1 with coefficients c_Q sigma(Q)^{r-1}. Requires 1 < r < p <= q.
+    Side I runs `maximize` from `seed`, side II from `seed + 1`.
     When p = q each side runs one start and `certified_upper` holds the
     Collatz-Wielandt bounds on (lhs, rhs), entries None where a bound fails;
     when p < q both sides run `restarts` seeded starts and the entries are None.
@@ -251,9 +240,8 @@ def check_lemma32(
         sigma_atom=sig_atom, omega_atom=om_atom,
         e=1.0, t=cfg.q / cfg.r, s=cfg.p / cfg.r, outer=1.0,
     )
-    opts = dict(restarts=restarts, max_iters=max_iters, tol=tol, extra_candidates=geom.candidates)
-    res_i = maximize(obj_i, seed=seed, **opts)
-    res_ii = maximize(obj_ii, seed=seed + 1, **opts)
+    res_i = maximize(obj_i, seed=seed, **solver)
+    res_ii = maximize(obj_ii, seed=seed + 1, **solver)
     return _report(
         "lemma32",
         res_i.value,
@@ -315,17 +303,14 @@ def lsu_check(
     q: float,
     omega: Weight,
     sigma: Weight,
-    restarts: int = 16,
-    max_iters: int = 5000,
-    tol: float = 1e-8,
-    seed: int = 0,
+    **solver,
 ) -> ComparabilityReport:
     """Norm of the linear positive operator against its two testing sums.
 
-    When p = q one start runs and `certified_upper` bounds lhs from above;
-    when p < q, or when the bound fails (for example a zero coefficient
-    leaves g zero on some atoms), `restarts` seeded starts run and
-    `certified_upper` is None.
+    The norm is `maximize` with `solver` forwarded. When p = q one start
+    runs and `certified_upper` bounds lhs from above; when p < q, or when
+    the bound fails (for example a zero coefficient leaves g zero on some
+    atoms), `restarts` seeded starts run and `certified_upper` is None.
     """
     if not 1.0 < p <= q:
         raise ParameterError("norm characterization needs 1 < p <= q")
@@ -340,10 +325,7 @@ def lsu_check(
         sigma_atom=sig[0], omega_atom=om[0],
         e=1.0, t=q, s=p, outer=1.0,
     )
-    res = maximize(
-        obj, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed,
-        extra_candidates=geom.candidates,
-    )
+    res = maximize(obj, **solver)
     first, second = _lsu_sums(geom, op.taus, p, q, om, sig)
     return _report(
         "lemma34", res.value, first + second, desc,

@@ -154,10 +154,6 @@ class PiecewiseWeight:
 Weight = Union[PowerWeight, PiecewiseWeight]
 
 
-def mass(w: Weight, interval: DyadicInterval) -> float:
-    return w.mass(interval)
-
-
 def product_masses(f: Weight, g: Weight, levels, positions) -> np.ndarray:
     """Masses of the product density f*g on dyadic intervals, elementwise.
 

@@ -61,7 +61,7 @@ def _ref_value(obj: CubeObjective, f):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _ref_solve(objective, f, max_iters, tol, extra_candidates, certify):
+def _ref_solve(objective, f, max_iters, tol, certify):
     power = 1.0 / (objective.s - 1.0)
     moving = np.arange(len(f))
     iterations = 0
@@ -75,12 +75,10 @@ def _ref_solve(objective, f, max_iters, tol, extra_candidates, certify):
     u = np.log(f)
     logj, grad, g = _ref_stationarity(objective, np.exp(u))
     residual = float(np.max(np.abs(grad), initial=0.0))
-    rows, vals = [f], [_ref_value(objective, f)]
-    if extra_candidates is not None and len(extra_candidates):
-        rows.append(np.atleast_2d(np.asarray(extra_candidates, dtype=float)))
-        vals.append(_ref_value(objective, rows[-1]))
-    allf = np.concatenate(rows, axis=0)
-    vals = np.concatenate(vals)
+    # the cube indicators and the constant function, valued as their own batch
+    candidates = np.vstack([objective.incidence, np.ones(len(objective.sigma_atom))])
+    allf = np.concatenate([f, candidates], axis=0)
+    vals = np.concatenate([_ref_value(objective, f), _ref_value(objective, candidates)])
     vals = np.where(np.isfinite(vals), vals, -np.inf)
     best = int(np.argmax(vals))
     maximizer = allf[best]
@@ -143,9 +141,9 @@ def test_solver_is_bitwise_the_reference_loop(monkeypatch, suite):
     solve = ascent._solve
     seen = {"calls": 0, "e": set(), "t<1": 0, "s": set()}
 
-    def both(objective, f, max_iters, tol, extra_candidates, certify):
-        ref = _ref_solve(objective, f.copy(), max_iters, tol, extra_candidates, certify)
-        res = solve(objective, f, max_iters, tol, extra_candidates, certify)
+    def both(objective, f, max_iters, tol, certify):
+        ref = _ref_solve(objective, f.copy(), max_iters, tol, certify)
+        res = solve(objective, f, max_iters, tol, certify)
         assert _fields(res) == _fields(ref)
         seen["calls"] += 1
         seen["e"].add(objective.e)
@@ -191,9 +189,9 @@ def test_solver_stopped_by_max_iters_is_bitwise_the_reference(monkeypatch, max_i
     solve = ascent._solve
     calls = []
 
-    def both(objective, f, max_iters, tol, extra_candidates, certify):
-        ref = _ref_solve(objective, f.copy(), max_iters, tol, extra_candidates, certify)
-        res = solve(objective, f, max_iters, tol, extra_candidates, certify)
+    def both(objective, f, max_iters, tol, certify):
+        ref = _ref_solve(objective, f.copy(), max_iters, tol, certify)
+        res = solve(objective, f, max_iters, tol, certify)
         assert _fields(res) == _fields(ref)
         calls.append(res.iterations)
         return res

@@ -18,6 +18,7 @@ import pytest
 from sparselab import (
     ROOT,
     AtomPartition,
+    CubeObjective,
     DyadicInterval,
     ExponentConfig,
     FamilyGeometry,
@@ -90,7 +91,12 @@ def test_geometry_matches_encloses_and_atom_range(suite):
             incidence[j, i0:i1] = 1.0
         assert np.array_equal(geom.contains, contains)
         assert np.array_equal(geom.incidence, incidence)
-        assert np.array_equal(geom.candidates, np.vstack([incidence, np.ones(len(part))]))
+        # the solver's candidates: the member indicators, then the constant function
+        obj = CubeObjective(
+            gamma=geom.lengths, incidence=geom.incidence, sigma_atom=geom.masses(inst.sigma)[0],
+            omega_atom=geom.masses(inst.omega)[0], e=1.0, t=2.0, s=2.0,
+        )
+        assert np.array_equal(obj.candidates, np.vstack([incidence, np.ones(len(part))]))
         assert geom.lengths.tolist() == [q.length for q in family.members]
 
 

@@ -287,12 +287,17 @@ def test_objective_matches_operator_loop():
 
 
 def test_maximize_never_below_candidates():
-    part, obj = rayleigh_objective(THREE_ATOMS, ExponentConfig(2, 2, 1, 1), LEBESGUE, LEBESGUE)
-    cand = np.eye(len(part))
-    res = maximize(obj, restarts=2, max_iters=50, seed=0, extra_candidates=cand)
-    floor = float(np.max(obj.value(cand)))
+    # maximize values the objective's own rows, the member indicators and
+    # the constant function, as one batch of their own
+    _, obj = rayleigh_objective(THREE_ATOMS, ExponentConfig(2, 2, 1, 1), LEBESGUE, LEBESGUE)
+    cand = obj.candidates
+    values = obj.value(cand)
+    floor = float(np.max(values))
+    res = maximize(obj, restarts=2, max_iters=50, seed=0)
     assert res.value >= floor * (1.0 - 1e-15)
-    only = maximize(obj, restarts=0, extra_candidates=cand)
+    assert np.array_equal(res.candidate_values, values)
+    only = maximize(obj, restarts=0)
+    assert np.array_equal(only.candidate_values, values)
     assert only.value == floor and only.from_candidate and only.converged
     assert only.starts == 0 and len(only.restart_values) == 0
     assert only.certified_upper is None and "restarts = 0" in only.certified_upper_reason
@@ -420,7 +425,7 @@ def test_reducible_map_falls_back_to_the_seeded_starts(monkeypatch):
         return phases[-1]
 
     monkeypatch.setattr(ascent, "_solve", recording)
-    res = maximize(obj, restarts=6, seed=1, extra_candidates=geom.candidates)
+    res = maximize(obj, restarts=6, seed=1)
     assert res.certified_upper is None and "not finite" in res.certified_upper_reason
     assert res.starts == 7 and len(res.restart_values) == 6
     assert res.value == rep.lhs and res.converged
