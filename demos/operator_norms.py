@@ -46,7 +46,7 @@ print(f"\ncertified indicator bound: {lower:.12g}")
 print(f"fixed-point estimate:      {est.ascent_value:.12g}"
       f" (converged={est.converged}, residual {est.residual:.1e},"
       f" {est.iterations} iterations)")
-print(f"bracket [certified lower, estimate, certified upper] from {est.restarts} start:")
+print(f"bracket [certified lower, estimate, certified upper] from {est.starts} start:")
 print(f"  [{est.certified_lower:.12g}, {est.ascent_value:.12g}, {est.certified_upper:.12g}]")
 print(f"two-weight characteristic: {char:.12g}")
 print(f"maximizer profile: {np.round(est.maximizer.values, 6)}")

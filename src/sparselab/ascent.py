@@ -236,8 +236,8 @@ def maximize(
     (seed, opts) reproduce bitwise; `certified_upper` is then None and
     `certified_upper_reason` says why. `iterations` counts the passes of both
     phases, a rejected constant start included. restarts = 0 sweeps the
-    candidates only. Negative restarts or max_iters, and a tol that is not
-    finite and positive, raise ParameterError.
+    candidates only. Negative restarts, max_iters or seed, and a tol that is
+    not finite and positive, raise ParameterError.
     """
     if not objective.s > 1.0:
         raise ParameterError(f"the fixed-point step needs s > 1, got {objective.s}")
@@ -247,6 +247,8 @@ def maximize(
         )
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be finite and positive, got {tol}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     reason = _bracket_reason(objective)
     if reason is None and restarts == 0:
         reason = "restarts = 0: no start was run"

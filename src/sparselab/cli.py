@@ -84,9 +84,13 @@ def _num(obj: dict, key: str, path: str) -> float:
     return float(val)
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _int(obj: dict, key: str, path: str) -> int:
     val = _get(obj, key, path)
-    if isinstance(val, bool) or not isinstance(val, int):
+    if not _is_int(val):
         raise InstanceParseError(f"field {path}.{key} must be an integer")
     return val
 
@@ -137,8 +141,11 @@ def _parse_family(obj: dict, path: str) -> SparseFamily:
             raise InstanceParseError(
                 f"field {path}.intervals must be a list of [level, position] pairs"
             )
+        for i, pair in enumerate(raw):
+            if not all(map(_is_int, pair)):
+                raise InstanceParseError(f"field {path}.intervals[{i}] must be two integers")
         try:
-            members = tuple(DyadicInterval(int(k), int(m)) for k, m in raw)
+            members = tuple(DyadicInterval(k, m) for k, m in raw)
         except SparselabError as err:
             raise InstanceParseError(f"field {path}.intervals: {err}") from err
         if "eta" in obj:

@@ -165,12 +165,14 @@ def carleson_constant(family: SparseFamily) -> float:
 def interval_arrays(intervals) -> tuple[np.ndarray, np.ndarray]:
     """The int64 level and position arrays of a sequence of dyadic intervals.
 
-    Positions must fit in int64, so every level must be below 63.
+    Heap codes 2^level + position must fit in int64, so every level must be
+    below 63; ParameterError names the first interval that is not.
     """
-    return (
-        np.array([q.level for q in intervals], dtype=np.int64),
-        np.array([q.position for q in intervals], dtype=np.int64),
-    )
+    levels = np.array([q.level for q in intervals], dtype=np.int64)
+    deep = levels >= 63
+    if deep.any():
+        raise ParameterError(f"{intervals[int(np.argmax(deep))]} is at level 63 or deeper")
+    return levels, np.array([q.position for q in intervals], dtype=np.int64)
 
 
 def subtree_arrays(top: DyadicInterval, down: int) -> tuple[np.ndarray, np.ndarray]:
@@ -338,7 +340,8 @@ class FamilyGeometry:
     endpoints; an outside partition goes through `atom_ranges`, which
     raises ParameterError naming a member it does not align with.
     Containment comes from member levels and positions, the same matrix
-    `carleson_constant` uses without building a partition.
+    `carleson_constant` uses without building a partition. The arrays are
+    read-only, since `family_geometry` hands one geometry to many callers.
     """
 
     def __init__(self, family: SparseFamily, part: AtomPartition | None = None):
@@ -359,6 +362,9 @@ class FamilyGeometry:
         self.incidence = ((atom >= lo) & (atom < hi)).astype(float)  # (m, n)
         self.contains = _containment(self.levels, self.positions)  # [i, j]: i encloses j
         self.lengths = np.ldexp(1.0, -self.levels)
+        for arr in (self.levels, self.positions, self.ranges, self.incidence,
+                    self.contains, self.lengths):
+            arr.setflags(write=False)
 
     def length_powers(self, exponent: float) -> np.ndarray:
         """|Q|^exponent per member, by Python's float power.
@@ -375,6 +381,19 @@ class FamilyGeometry:
             w.masses(self.part.levels, self.part.positions),
             w.masses(self.levels, self.positions),
         )
+
+
+_last_geometry = (None, None)  # (family, geometry), replaced by one assignment
+
+
+def family_geometry(family: SparseFamily) -> FamilyGeometry:
+    """The family's geometry on its own atoms, rebuilt only for another family object."""
+    global _last_geometry
+    last, geom = _last_geometry
+    if last is not family:
+        geom = FamilyGeometry(family)
+        _last_geometry = (family, geom)
+    return geom
 
 
 def uniform_partition(interval: DyadicInterval, depth_below: int) -> AtomPartition:

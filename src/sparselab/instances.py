@@ -101,9 +101,11 @@ def random_weight(rng: np.random.Generator, depth: int = WEIGHT_DEPTH) -> Piecew
 
 
 def make_instance(suite: str, seed: int, index: int) -> RandomInstance:
-    """Deterministic instance `index` of the given suite and seed."""
+    """Deterministic instance `index` of the given suite and seed, both >= 0."""
     if suite not in EXPONENT_MENUS:
         raise ParameterError(f"unknown suite {suite!r}")
+    if seed < 0 or index < 0:
+        raise ParameterError(f"seed and index must be >= 0, got {seed} and {index}")
     rng = _instance_rng(seed, index)
     family = random_family(rng)
     omega = random_weight(rng)

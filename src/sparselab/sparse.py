@@ -4,15 +4,15 @@ The operator sends f to (sum_Q (|Q|^{-alpha} int_Q f dsigma)^r 1_Q)^{1/r}
 over the members of a sparse family. Everything is evaluated exactly on
 atom partitions, through the family's compiled geometry (atoms, member
 atom ranges and the member-by-atom incidence matrix; see
-dyadic.FamilyGeometry), which one call builds once for the solver
-objective. `ascent.maximize` sweeps the objective's own candidates, the
-member indicators and the constant function, and the indicator rows give
-the certified bound. The only non-exact quantity is the fixed-point
-estimate of the operator norm, which carries a stationarity residual, is
-bracketed from below by the certified indicator bound and, when p = q and
-r <= q, from above by the Collatz-Wielandt bound, and is cross-checked
-against the spectral norm at p = q = 2, r = 1 and on tiny instances by a
-sphere-grid oracle.
+dyadic.FamilyGeometry), which `dyadic.family_geometry` builds once per
+family object and shares with the testing sums. `ascent.maximize` sweeps
+the objective's own candidates, the member indicators and the constant
+function, and the indicator rows give the certified bound. The only
+non-exact quantity is the fixed-point estimate of the operator norm, which
+carries a stationarity residual, is bracketed from below by the certified
+indicator bound and, when p = q and r <= q, from above by the
+Collatz-Wielandt bound, and is cross-checked against the spectral norm at
+p = q = 2, r = 1 and on tiny instances by a sphere-grid oracle.
 `apply_sparse` evaluates the operator cube by cube (the reference path).
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascent import CubeObjective, maximize
-from .dyadic import AtomPartition, FamilyGeometry, SparseFamily
+from .dyadic import AtomPartition, FamilyGeometry, SparseFamily, family_geometry
 from .errors import DegenerateInstanceError, ParameterError
 from .functions import StepFunction
 from .weights import ExponentConfig, Weight
@@ -93,7 +93,7 @@ def indicator_lower_bound(
     |Q|^{-alpha} sigma(Q) * omega(Q)^{1/q} / sigma(Q)^{1/p}. The tests
     check it against the cube-by-cube `apply_sparse` path.
     """
-    geom = FamilyGeometry(family)
+    geom = family_geometry(family)
     obj, sig_q = _objective(geom, cfg, omega, sigma)
     _require_mass(geom, sig_q, "sigma")
     return float(np.max(obj.value(obj.candidates)[: len(sig_q)]))
@@ -103,7 +103,7 @@ def rayleigh_objective(
     family: SparseFamily, cfg: ExponentConfig, omega: Weight, sigma: Weight
 ) -> tuple[AtomPartition, CubeObjective]:
     """The operator-norm quotient as a cube-sum objective on family atoms."""
-    geom = FamilyGeometry(family)
+    geom = family_geometry(family)
     return geom.part, _objective(geom, cfg, omega, sigma)[0]
 
 
@@ -112,7 +112,7 @@ class OpNormEstimate:
     certified_lower: float
     ascent_value: float
     maximizer: StepFunction
-    restarts: int  # fixed-point starts run
+    starts: int  # fixed-point starts run
     iterations: int
     converged: bool
     residual: float
@@ -137,19 +137,9 @@ def estimate_opnorm(
     `certified_upper` brackets the norm from above; `restarts` seeded
     starts run elsewhere, and also there when the bracket fails, with the
     reason in `certified_upper_reason`. `restarts=0` sweeps the candidates
-    only. The estimate's `restarts` is the number of starts run.
+    only. The estimate's `starts` is the number of starts run.
     """
-    return _estimate(FamilyGeometry(family), cfg, omega, sigma, **solver)
-
-
-def _estimate(
-    geom: FamilyGeometry, cfg: ExponentConfig, omega: Weight, sigma: Weight, **solver
-) -> OpNormEstimate:
-    """estimate_opnorm on an already built geometry, `solver` forwarded to `maximize`.
-
-    The certified bound is the best member indicator among the candidates
-    the solver sweeps (the incidence rows of `obj.candidates`).
-    """
+    geom = family_geometry(family)
     obj, sig_q = _objective(geom, cfg, omega, sigma)
     _require_mass(geom, sig_q, "sigma")
     res = maximize(obj, **solver)
@@ -157,7 +147,7 @@ def _estimate(
         certified_lower=float(np.max(res.candidate_values[: len(sig_q)])),
         ascent_value=res.value,
         maximizer=StepFunction(geom.part, res.maximizer, nonneg=True),
-        restarts=res.starts,
+        starts=res.starts,
         iterations=res.iterations,
         converged=res.converged,
         residual=res.residual,

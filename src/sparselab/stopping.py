@@ -9,11 +9,11 @@ the explicit geometric constant (1 - 2^{-p})^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily
+from .dyadic import DyadicInterval, SparseFamily, family_geometry
 from .functions import StepFunction
 from .sparse import _require_mass
 from .weights import Weight, product_masses, weighted_integral
@@ -21,18 +21,13 @@ from .weights import Weight, product_masses, weighted_integral
 
 @dataclass(frozen=True)
 class StoppingFamily:
-    """Principals, the minimal-principal parent map, and stopping children.
-
-    `geometry` is the family geometry the construction used; the sum bound
-    reuses it.
-    """
+    """Principals, the minimal-principal parent map, and stopping children."""
 
     family: SparseFamily
     principals: tuple[DyadicInterval, ...]
     parent: dict
     children: dict
     averages: dict
-    geometry: FamilyGeometry = field(compare=False, repr=False)
 
     def principal_of(self, member: DyadicInterval) -> DyadicInterval:
         return self.parent[member]
@@ -47,7 +42,7 @@ def build_principal_cubes(
     positive mass on every member.
     """
     members = family.members
-    geom = FamilyGeometry(family)
+    geom = family_geometry(family)
     _, sig_q = geom.masses(sigma)
     _require_mass(geom, sig_q, "sigma")
     if isinstance(f, StepFunction):
@@ -82,7 +77,6 @@ def build_principal_cubes(
         parent=parent,
         children=children,
         averages=avg,
-        geometry=geom,
     )
 
 
@@ -97,7 +91,7 @@ def principal_sum_bound(
     ratio and the integrated (sigma-measure) ratio; both should be <= 1.
     """
     members = stopping.family.members
-    geom = stopping.geometry
+    geom = family_geometry(stopping.family)
     avgs = np.array([stopping.averages[q] for q in members])
     chosen = set(stopping.principals)
     is_principal = np.array([q in chosen for q in members])

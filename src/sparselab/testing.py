@@ -16,9 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .ascent import CubeObjective, maximize
-from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily, interval_arrays
+from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily, family_geometry, interval_arrays
 from .errors import ParameterError
-from .sparse import _estimate, _require_mass, estimate_opnorm, rhs_branch, theorem_rhs
+from .sparse import _require_mass, estimate_opnorm, rhs_branch, theorem_rhs
 from .weights import (
     ExponentConfig,
     PiecewiseWeight,
@@ -78,15 +78,9 @@ def testing_T(
     family: SparseFamily, cfg: ExponentConfig, omega: Weight, sigma: Weight
 ) -> float:
     """sup_R sigma(R)^{-r/p} || sum_{Q<=R} |Q|^{-ar} sigma(Q)^r 1_Q ||_{L^{q/r}_omega}."""
-    geom = FamilyGeometry(family)
-    return _testing_T(geom, cfg, geom.masses(omega), geom.masses(sigma))
-
-
-def _testing_T(
-    geom: FamilyGeometry, cfg: ExponentConfig, omega_masses, sigma_masses
-) -> float:
-    om_atom, _ = omega_masses
-    _, sig_q = sigma_masses
+    geom = family_geometry(family)
+    om_atom, _ = geom.masses(omega)
+    _, sig_q = geom.masses(sigma)
     _require_mass(geom, sig_q, "sigma")
     coefs = geom.length_powers(-cfg.alpha * cfg.r) * sig_q**cfg.r
     return _testing_sup(geom, coefs, om_atom, cfg.q / cfg.r, sig_q, -cfg.r / cfg.p)
@@ -102,15 +96,9 @@ def testing_Tstar(
     """
     if not cfg.p > cfg.r:
         raise ParameterError("dual testing constant is only used when p > r")
-    geom = FamilyGeometry(family)
-    return _testing_Tstar(geom, cfg, geom.masses(omega), geom.masses(sigma))
-
-
-def _testing_Tstar(
-    geom: FamilyGeometry, cfg: ExponentConfig, omega_masses, sigma_masses
-) -> float:
-    _, om_q = omega_masses
-    sig_atom, sig_q = sigma_masses
+    geom = family_geometry(family)
+    _, om_q = geom.masses(omega)
+    sig_atom, sig_q = geom.masses(sigma)
     _require_mass(geom, sig_q, "sigma")
     _require_mass(geom, om_q, "omega")
     coefs = geom.length_powers(-cfg.alpha * cfg.r) * sig_q ** (cfg.r - 1.0) * om_q
@@ -135,13 +123,11 @@ def check_prop31(
     upper bound on lhs, or None where the bracket does not apply or fails.
     The extras also carry `testing_T` and `testing_Tstar` (None when r >= p).
     """
-    geom = FamilyGeometry(family)
-    est = _estimate(geom, cfg, omega, sigma, **solver)
-    masses = geom.masses(omega), geom.masses(sigma)
-    t_val = _testing_T(geom, cfg, *masses)
+    est = estimate_opnorm(family, cfg, omega, sigma, **solver)
+    t_val = testing_T(family, cfg, omega, sigma)
     tstar = None
     if cfg.r < cfg.p:
-        tstar = _testing_Tstar(geom, cfg, *masses)
+        tstar = testing_Tstar(family, cfg, omega, sigma)
         rhs = t_val + tstar
         branch = "r < p: sum of both testing constants"
     else:
@@ -192,7 +178,7 @@ def check_thm11(
         certified_lower=est.certified_lower,
         certified_upper=est.certified_upper,
         certified_upper_reason=est.certified_upper_reason,
-        starts=est.restarts,
+        starts=est.starts,
         iterations=est.iterations,
         converged=est.converged,
         residual=est.residual,
@@ -224,7 +210,7 @@ def check_lemma32(
     coefs = np.asarray(coefs, dtype=float)
     if np.any(coefs < 0.0):
         raise ParameterError("cube coefficients must be nonnegative")
-    geom = FamilyGeometry(family)
+    geom = family_geometry(family)
     om_atom, _ = geom.masses(omega)
     sig_atom, sig_q = geom.masses(sigma)
     _require_mass(geom, sig_q, "sigma")
@@ -278,22 +264,16 @@ def lsu_testing_sums(
     First: sup_R omega(R)^{-1/q'} || sum_{Q<=R} tau_Q <omega>_Q 1_Q ||_{L^{p'}_sigma}.
     Second: sup_R sigma(R)^{-1/p} || sum_{Q<=R} tau_Q <sigma>_Q 1_Q ||_{L^q_omega}.
     """
-    geom = FamilyGeometry(op.family)
-    return _lsu_sums(geom, op.taus, p, q, geom.masses(omega), geom.masses(sigma))
-
-
-def _lsu_sums(
-    geom: FamilyGeometry, taus: np.ndarray, p: float, q: float, omega_masses, sigma_masses
-) -> tuple[float, float]:
-    om_atom, om_q = omega_masses
-    sig_atom, sig_q = sigma_masses
+    geom = family_geometry(op.family)
+    om_atom, om_q = geom.masses(omega)
+    sig_atom, sig_q = geom.masses(sigma)
     _require_mass(geom, sig_q, "sigma")
     _require_mass(geom, om_q, "omega")
     p_conj = p / (p - 1.0)
     q_conj = q / (q - 1.0)
     return (
-        _testing_sup(geom, taus * om_q / geom.lengths, sig_atom, p_conj, om_q, -1.0 / q_conj),
-        _testing_sup(geom, taus * sig_q / geom.lengths, om_atom, q, sig_q, -1.0 / p),
+        _testing_sup(geom, op.taus * om_q / geom.lengths, sig_atom, p_conj, om_q, -1.0 / q_conj),
+        _testing_sup(geom, op.taus * sig_q / geom.lengths, om_atom, q, sig_q, -1.0 / p),
     )
 
 
@@ -314,19 +294,17 @@ def lsu_check(
     """
     if not 1.0 < p <= q:
         raise ParameterError("norm characterization needs 1 < p <= q")
-    family = op.family
-    geom = FamilyGeometry(family)
-    om, sig = geom.masses(omega), geom.masses(sigma)
-    desc = f"positive operator on {len(family)} cubes, (p, q)=({p}, {q})"
+    geom = family_geometry(op.family)
+    desc = f"positive operator on {len(op.family)} cubes, (p, q)=({p}, {q})"
     if not np.any(op.taus > 0.0):
         return _report("lemma34", 0.0, 0.0, desc)
     obj = CubeObjective(
         gamma=op.taus / geom.lengths, incidence=geom.incidence,
-        sigma_atom=sig[0], omega_atom=om[0],
+        sigma_atom=geom.masses(sigma)[0], omega_atom=geom.masses(omega)[0],
         e=1.0, t=q, s=p, outer=1.0,
     )
     res = maximize(obj, **solver)
-    first, second = _lsu_sums(geom, op.taus, p, q, om, sig)
+    first, second = lsu_testing_sums(op, p, q, omega, sigma)
     return _report(
         "lemma34", res.value, first + second, desc,
         converged=res.converged, residual=res.residual,
@@ -353,7 +331,7 @@ def check_lemma41(
     coefs = np.asarray(coefs, dtype=float)
     if np.any(coefs < 0.0):
         raise ParameterError("coefficients must be nonnegative")
-    geom = FamilyGeometry(family)
+    geom = family_geometry(family)
     sig_atom, sig_q = geom.masses(sigma)
     _require_mass(geom, sig_q, "sigma")
     desc = f"{len(family)} cubes, p={p}"
@@ -468,9 +446,7 @@ def verify_thm42(
     char, a_sig, a_om = char.value, a_sig.value, a_om.value
     desc = _describe(family, cfg)
 
-    geom = FamilyGeometry(family)
-    masses = geom.masses(omega), geom.masses(sigma)
-    t_val = _testing_T(geom, cfg, *masses)
+    t_val = testing_T(family, cfg, omega, sigma)
     diag = rhs_branch(cfg) == "diagonal-fractional"
     if diag:
         w = (1.0 - cfg.r / cfg.p) ** 2
@@ -483,7 +459,7 @@ def verify_thm42(
 
     rep_tstar = None
     if cfg.p > cfg.r:
-        tstar = _testing_Tstar(geom, cfg, *masses)
+        tstar = testing_Tstar(family, cfg, omega, sigma)
         if diag:
             w = (cfg.r / cfg.p) ** 2
             rhs_s = char**cfg.r * a_om ** (1.0 - w) * a_sig**w

@@ -62,10 +62,21 @@ def test_round_zero_passes(name):
     assert not failures
 
 
+# The checks call the public testing sums, so these layers count them:
+# verify_thm42 computes T and T* once per testing-sums round, and lsu_check
+# one pair of sums for each of the 60 lsu-local operators.
+TESTING_CALLS = {
+    "testing-sums": {"testing.testing_T": 1, "testing.testing_Tstar": 1},
+    "lsu-local": {"testing.lsu_testing_sums": 60},
+}
+
+
 # testing-sums: one verify_thm42 (two scans) and three geometries per round;
-# opnorm: two scans and one geometry for each of its 60 instances
+# opnorm: two scans and one geometry for each of its 60 instances;
+# lsu-local: no scan and one geometry for each of its 60 operators
 @pytest.mark.parametrize(
-    "name,ainfty_calls,atoms_of_calls", [("testing-sums", 2, 3), ("opnorm", 120, 60)]
+    "name,ainfty_calls,atoms_of_calls",
+    [("testing-sums", 2, 3), ("opnorm", 120, 60), ("lsu-local", 0, 60)],
 )
 def test_round_zero_goes_through_the_traced_layers(name, ainfty_calls, atoms_of_calls):
     wl = workloads.WORKLOADS[name]
@@ -74,6 +85,10 @@ def test_round_zero_goes_through_the_traced_layers(name, ainfty_calls, atoms_of_
     with tracer.Tracer() as traced:
         for op in ops:
             op.call()
-    summary = traced.summary()
-    assert summary["weights.ainfty"]["calls"] == ainfty_calls
-    assert summary["dyadic.atoms_of"]["calls"] == atoms_of_calls
+    calls = {layer: row["calls"] for layer, row in traced.summary().items()}
+    expected = {
+        "weights.ainfty": ainfty_calls,
+        "dyadic.atoms_of": atoms_of_calls,
+        **TESTING_CALLS.get(name, {}),
+    }
+    assert {layer: calls.get(layer, 0) for layer in expected} == expected

@@ -221,6 +221,23 @@ def test_parse_errors_name_the_field(tmp_path, capsys):
     assert "exponents.alpha" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "intervals,bad",
+    [
+        ([[0, 0], ["a", 0]], 1),
+        ([[1.7, 0]], 0),
+        ([[0, 0], [1, 0], [True, 1]], 2),
+        ([[1, False]], 0),
+    ],
+)
+def test_parse_error_mistyped_interval(tmp_path, capsys, intervals, bad):
+    payload = dict(CHAIN_INSTANCE, family={"kind": "members", "intervals": intervals})
+    inst = write_instance(tmp_path, payload)
+    code, rep, err = run_cli(capsys, ["opnorm", "--instance", inst, "--out", str(tmp_path)])
+    assert code == 2 and rep is None
+    assert err["error"] == "parse" and f"family.intervals[{bad}]" in err["message"]
+
+
 def test_parse_error_unknown_keys(tmp_path, capsys):
     for patch in ({"extra": 1}, {"options": {"seed": 1, "typo": 2}}):
         payload = dict(CHAIN_INSTANCE, **patch)
@@ -255,6 +272,8 @@ def test_parameter_error_infeasible_exponents(tmp_path, capsys):
         ({"p": 2, "q": 4, "r": 2, "alpha": 0.75}, {"max_iters": -1}),
         ({"p": 2, "q": 2, "r": 1, "alpha": 1}, {"tol": math.nan}),  # written as NaN
         ({"p": 2, "q": 2, "r": 1, "alpha": 1}, {"tol": 0}),
+        ({"p": 2, "q": 2, "r": 1, "alpha": 1}, {"seed": -3}),
+        ({"p": 2, "q": 4, "r": 2, "alpha": 0.75}, {"seed": -3}),
     ],
 )
 @pytest.mark.parametrize("command", ["opnorm", "testing"])
@@ -271,6 +290,31 @@ def test_bad_solver_options_are_parameter_errors(tmp_path, capsys, exponents, op
     code, rep, err = run_cli(capsys, [command, "--instance", inst, "--out", str(tmp_path)])
     assert code == 3 and rep is None
     assert err["error"] == "parameter" and "must be" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["testing", "--seed", "-2"],
+        ["opnorm", "--seed", "-2"],
+        ["verify", "--suite", "lemma41", "--seed", "-1", "--trials", "2"],
+    ],
+)
+def test_negative_seed_flags_are_parameter_errors(tmp_path, capsys, argv):
+    if argv[0] != "verify":
+        argv = argv + ["--instance", write_instance(tmp_path, CHAIN_INSTANCE)]
+    code, rep, err = run_cli(capsys, argv + ["--out", str(tmp_path)])
+    assert code == 3 and rep is None
+    assert err["error"] == "parameter" and "must be >= 0" in err["message"]
+
+
+def test_members_deeper_than_level_62_are_parameter_errors(tmp_path, capsys):
+    for depth, code in ((62, 0), (63, 3)):
+        payload = dict(CHAIN_INSTANCE, family={"kind": "chain", "depth": depth})
+        inst = write_instance(tmp_path, payload)
+        got, _, err = run_cli(capsys, ["opnorm", "--instance", inst, "--out", str(tmp_path)])
+        assert got == code
+    assert err["error"] == "parameter" and "[0/2^63, 1/2^63)" in err["message"]
 
 
 @pytest.mark.parametrize(

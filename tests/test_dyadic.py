@@ -110,6 +110,16 @@ def test_chain_family_and_carleson():
     assert not packing_certified(overdeclared)
 
 
+def test_levels_from_63_on_are_rejected():
+    # a position at level 64 does not fit in int64; the level check comes first
+    deep = SparseFamily((ROOT, DyadicInterval(64, (1 << 64) - 1)))
+    for family in (chain_family(63), deep):
+        for compute in (carleson_constant, atoms_of):
+            with pytest.raises(ParameterError, match="level 63 or deeper"):
+                compute(family)
+    assert len(atoms_of(chain_family(62))) == 63
+
+
 def test_family_dedup_and_root():
     fam = SparseFamily(
         (DyadicInterval(1, 0), ROOT, DyadicInterval(1, 0)), eta=0.5

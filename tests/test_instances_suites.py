@@ -87,6 +87,12 @@ def test_unknown_suite_rejected():
         run_suite("lemma99")
 
 
+def test_negative_seed_or_index_rejected():
+    for seed, index in ((-1, 0), (0, -1)):
+        with pytest.raises(ParameterError, match="must be >= 0"):
+            make_instance("lemma41", seed, index)
+
+
 def test_run_suite_repeatable():
     a = run_suite("lemma41", seed=3, trials=10)
     b = run_suite("lemma41", seed=3, trials=10)

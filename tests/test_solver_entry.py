@@ -102,8 +102,7 @@ DECLARED = {
 def _functions():
     """Every function and method written in the package's source files.
 
-    Code that dataclasses generate (OpNormEstimate.__init__ takes the
-    `restarts` field, a count of starts run) has no source file and is skipped.
+    Code that dataclasses generate has no source file and is skipped.
     """
     for info in pkgutil.iter_modules(sparselab.__path__):
         module = importlib.import_module(f"{sparselab.__name__}.{info.name}")

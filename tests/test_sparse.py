@@ -307,7 +307,7 @@ def test_maximize_never_below_candidates():
 @pytest.mark.parametrize(
     "opts",
     [{"restarts": -1}, {"max_iters": -1}, {"tol": 0.0}, {"tol": -1e-8},
-     {"tol": math.nan}, {"tol": math.inf}],
+     {"tol": math.nan}, {"tol": math.inf}, {"seed": -1}],
 )
 def test_maximize_rejects_bad_solver_options(cfg, opts):
     # with and without the Collatz-Wielandt bracket; restarts = 0 stays valid
@@ -316,7 +316,19 @@ def test_maximize_rejects_bad_solver_options(cfg, opts):
         maximize(obj, **opts)
     with pytest.raises(ParameterError):
         estimate_opnorm(THREE_ATOMS, cfg, LEBESGUE, LEBESGUE, **opts)
-    assert estimate_opnorm(THREE_ATOMS, cfg, LEBESGUE, LEBESGUE, restarts=0).restarts == 0
+    assert estimate_opnorm(THREE_ATOMS, cfg, LEBESGUE, LEBESGUE, restarts=0).starts == 0
+
+
+def test_members_deeper_than_level_62_are_parameter_errors():
+    # heap codes 2^level + position overflow int64 from level 63 on, which
+    # made deeper chains report values exactly twice as large
+    cfg = ExponentConfig(2, 2, 1, 1)
+    est = estimate_opnorm(chain_family(62), cfg, LEBESGUE, LEBESGUE)
+    assert est.certified_upper is not None
+    assert est.certified_lower <= est.ascent_value <= est.certified_upper
+    for depth in (63, 64):
+        with pytest.raises(ParameterError, match=r"\[0/2\^63, 1/2\^63\)"):
+            estimate_opnorm(chain_family(depth), cfg, LEBESGUE, LEBESGUE)
 
 
 def _spectral_norm(family, gamma, omega, sigma):
@@ -376,7 +388,7 @@ def test_estimate_certificate_residual():
     assert not short.converged
     assert short.residual > 1e-8
     # the constant start is rejected, so two passes of it precede two seeded passes
-    assert short.restarts == 17 and short.iterations == 4
+    assert short.starts == 17 and short.iterations == 4
 
 
 def test_bracket_rows_run_one_start():
@@ -385,7 +397,7 @@ def test_bracket_rows_run_one_start():
     for i in range(60):
         inst = make_instance("thm11", 7, i)
         est = estimate_opnorm(inst.family, inst.cfg, inst.omega, inst.sigma, seed=i)
-        starts.append(est.restarts)
+        starts.append(est.starts)
         if inst.cfg.p == inst.cfg.q:
             assert est.certified_upper is not None and est.converged, f"instance {i}"
             assert est.certified_upper_reason is None
@@ -402,7 +414,7 @@ def test_bracket_rows_run_one_start():
 def test_unbracketed_rows_run_the_seeded_starts(cfg, reason):
     omega = PiecewiseWeight(2, [0.5, 2.0, 1.0, 0.25])
     est = estimate_opnorm(THREE_ATOMS, cfg, omega, LEBESGUE, restarts=5, seed=3)
-    assert est.restarts == 5
+    assert est.starts == 5
     assert est.certified_upper is None and reason in est.certified_upper_reason
 
 

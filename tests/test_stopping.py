@@ -17,16 +17,17 @@ import math
 import numpy as np
 import pytest
 
-import sparselab.stopping as stopping_mod
 from sparselab import (
     LEBESGUE,
     DegenerateInstanceError,
     DyadicInterval,
+    FamilyGeometry,
     PiecewiseWeight,
     PowerWeight,
     ROOT,
     SparseFamily,
     StepFunction,
+    atoms_of,
     build_principal_cubes,
     chain_family,
     relate,
@@ -159,18 +160,17 @@ def test_degenerate_sigma_rejected():
 
 def test_one_geometry_per_construction(monkeypatch):
     built = []
+    init = FamilyGeometry.__init__
 
-    class CountingGeometry(stopping_mod.FamilyGeometry):
-        def __init__(self, *args, **kwargs):
-            built.append(args[0])
-            super().__init__(*args, **kwargs)
+    def counting(self, family, *args, **kwargs):
+        built.append(family)
+        init(self, family, *args, **kwargs)
 
-    monkeypatch.setattr(stopping_mod, "FamilyGeometry", CountingGeometry)
+    monkeypatch.setattr(FamilyGeometry, "__init__", counting)
     family = chain_family(9)
     f = PowerWeight(-0.5)
     stopping = build_principal_cubes(family, f, LEBESGUE)
     report = principal_sum_bound(stopping, f, LEBESGUE, 2.0)
     assert built == [family]
-    assert report["atoms"] == len(stopping.geometry.part)
-    # the geometry is carried along but not compared
+    assert report["atoms"] == len(atoms_of(family))
     assert build_principal_cubes(family, f, LEBESGUE) == stopping
