@@ -299,7 +299,8 @@ def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
     strictly inside it, that is, when it is a strict ancestor of a member;
     the atoms are the children of split nodes that are not split
     themselves, or the root alone when nothing splits it. The result is
-    then uniformly refined `extra_depth` more levels.
+    then uniformly refined `extra_depth` more levels; atoms at level 63 or
+    deeper raise ParameterError, as members there do (see interval_arrays).
     """
     if extra_depth < 0:
         raise ParameterError("extra_depth must be >= 0")
@@ -324,6 +325,11 @@ def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
     order = np.argsort(cell_pos << (cell_level.max() - cell_level))
     cell_level, cell_pos = cell_level[order], cell_pos[order]
     if extra_depth:
+        deepest = int(cell_level.max()) + extra_depth
+        if deepest >= 63:
+            raise ParameterError(
+                f"extra_depth = {extra_depth} puts atoms at level {deepest}: level 63 or deeper"
+            )
         k = 1 << extra_depth
         cell_level = np.repeat(cell_level + extra_depth, k)
         cell_pos = np.repeat(cell_pos << extra_depth, k) + np.tile(np.arange(k), len(order))

@@ -2,10 +2,15 @@
 
 The reference below is the earlier kernel: one `_stationarity` pass that
 computes log J, the pullback g and the gradient together, run on
-`f[moving]` on every step, and used for every value. The kernel splits that
-pass into a forward piece (log J) and a pullback piece (g and the gradient)
-but performs the same floating-point operations in the same order on the
-same row batches, so every solver output must agree bitwise.
+`f[moving]` on every step, and used for every value. Its stop test runs on
+every `every`-th pass, RESIDUAL_EVERY by default. The kernel splits that
+pass into a forward piece (log J) and a pullback piece (g and the gradient),
+and the solver's passes between stop tests compute g alone; all perform the
+same floating-point operations in the same order on the same row batches,
+so every solver output must agree bitwise, and each g-only pass gives the
+full pass's g to the bit. Against the reference at every = 1, the loop that
+tests on every pass, the later stops may move a value by at most 1e-10
+relative and must save the full passes.
 """
 
 import math
@@ -26,7 +31,13 @@ from sparselab import (
     rayleigh_objective,
     suites,
 )
-from sparselab.ascent import BRACKET_TOL, ROUNDING_SLACK, AscentResult, CubeObjective
+from sparselab.ascent import (
+    BRACKET_TOL,
+    RESIDUAL_EVERY,
+    ROUNDING_SLACK,
+    AscentResult,
+    CubeObjective,
+)
 
 
 def _pow0(x, p, zero=False):
@@ -61,15 +72,17 @@ def _ref_value(obj: CubeObjective, f):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _ref_solve(objective, f, max_iters, tol, certify):
+def _ref_solve(objective, f, max_iters, tol, certify, every=RESIDUAL_EVERY):
+    # the full pass on every step; the stop test on every `every`-th pass only
     power = 1.0 / (objective.s - 1.0)
     moving = np.arange(len(f))
     iterations = 0
     while len(moving) and iterations < max_iters:
         iterations += 1
         _, grad, g = _ref_stationarity(objective, f[moving])
-        still = np.max(np.abs(grad), axis=1) > tol
-        moving, g = moving[still], g[still]
+        if iterations % every == 0:
+            still = np.max(np.abs(grad), axis=1) > tol
+            moving, g = moving[still], g[still]
         f[moving] = (g / g.max(axis=1, keepdims=True)) ** power
 
     u = np.log(f)
@@ -182,9 +195,12 @@ def test_value_sweeps_skip_the_pullback(monkeypatch, depth):
     assert _hex(got) == _hex(expected)
 
 
-@pytest.mark.parametrize("max_iters", [0, 1, 3])
+@pytest.mark.parametrize(
+    "max_iters", sorted({0, 1, 3, RESIDUAL_EVERY - 1, RESIDUAL_EVERY, RESIDUAL_EVERY + 1})
+)
 def test_solver_stopped_by_max_iters_is_bitwise_the_reference(monkeypatch, max_iters):
-    # starts still moving when the loop ends are written back as they stand
+    # starts still moving when the loop ends are written back as they stand,
+    # whether the last pass tested stationarity or stepped on g alone
     inst = make_instance("lemma32", 7, 3)
     solve = ascent._solve
     calls = []
@@ -200,3 +216,45 @@ def test_solver_stopped_by_max_iters_is_bitwise_the_reference(monkeypatch, max_i
     suites.check_lemma32(inst.family, inst.cfg, inst.extras["coefs"], inst.omega,
                          inst.sigma, max_iters=max_iters)
     assert calls and max(calls) == max_iters
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("suite", ["thm11", "lemma34", "prop31", "lemma32"])
+def test_residual_every_k_passes_drifts_little_and_saves_the_full_passes(monkeypatch, suite):
+    # every _solve call of the suite's seed-7 instances 0-59 against the loop
+    # that tests stationarity on every pass (the reference at every = 1): the
+    # later stops move the value by at most 1e-10 relative and lose no
+    # certificate and no convergence. certified_upper, a Collatz-Wielandt
+    # bound whose gap above the value shrinks with the endpoint's residual,
+    # only tightens (by up to 7.4e-8 relative on these rows), so it is held
+    # to no more than 1e-10 above the reference's. The pullback piece (the
+    # residual) runs on at most ceil(passes / K) + 1 rows per start: the check
+    # passes and the endpoint certificate
+    solve = ascent._solve
+    pullback = CubeObjective._pullback
+    rows = []
+
+    def counted(self, f, *fwd):
+        rows[-1] += len(f)
+        return pullback(self, f, *fwd)
+
+    def both(objective, f, max_iters, tol, certify):
+        ref = _ref_solve(objective, f.copy(), max_iters, tol, certify, every=1)
+        rows.append(0)
+        res = solve(objective, f, max_iters, tol, certify)
+        assert _rel(res.value, ref.value) <= 1e-10
+        assert (res.certified_upper is None) <= (ref.certified_upper is None)
+        if ref.certified_upper is not None:
+            assert res.value <= res.certified_upper <= ref.certified_upper * (1.0 + 1e-10)
+        assert res.converged >= ref.converged
+        assert rows[-1] <= res.starts * (math.ceil(res.iterations / RESIDUAL_EVERY) + 1)
+        return res
+
+    monkeypatch.setattr(CubeObjective, "_pullback", counted)
+    monkeypatch.setattr(ascent, "_solve", both)
+    for index in range(60):
+        _run_suite_solver(suite, index)
+    assert len(rows) >= 60

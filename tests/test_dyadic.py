@@ -118,6 +118,11 @@ def test_levels_from_63_on_are_rejected():
             with pytest.raises(ParameterError, match="level 63 or deeper"):
                 compute(family)
     assert len(atoms_of(chain_family(62))) == 63
+    # refinement past level 62 is rejected too; level-64 atoms came back with negative ticks
+    for extra_depth in (3, 4):
+        with pytest.raises(ParameterError, match="level 63 or deeper"):
+            atoms_of(chain_family(60), extra_depth)
+    assert atoms_of(chain_family(60), 2).finest_level == 62
 
 
 def test_family_dedup_and_root():

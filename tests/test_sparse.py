@@ -307,10 +307,13 @@ def test_maximize_never_below_candidates():
 @pytest.mark.parametrize(
     "opts",
     [{"restarts": -1}, {"max_iters": -1}, {"tol": 0.0}, {"tol": -1e-8},
-     {"tol": math.nan}, {"tol": math.inf}, {"seed": -1}],
+     {"tol": math.nan}, {"tol": math.inf}, {"seed": -1},
+     {"restarts": 1.5}, {"max_iters": 2.5}, {"seed": 1.5},
+     {"restarts": True}, {"max_iters": True}, {"seed": True}],
 )
 def test_maximize_rejects_bad_solver_options(cfg, opts):
-    # with and without the Collatz-Wielandt bracket; restarts = 0 stays valid
+    # with and without the Collatz-Wielandt bracket; restarts = 0 stays valid.
+    # Counts and seeds are integers and not bools on every kind of row
     _, obj = rayleigh_objective(THREE_ATOMS, cfg, LEBESGUE, LEBESGUE)
     with pytest.raises(ParameterError):
         maximize(obj, **opts)
