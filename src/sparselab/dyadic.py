@@ -14,6 +14,7 @@ experiments the two notions coincide with eta = 1/2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -30,17 +31,32 @@ class Relation(Enum):
     CONTAINS = "contains"  # first argument strictly contains the second
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int; ParameterError unless it is an integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, not a bool, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, order=True)
 class DyadicInterval:
-    """Half-open interval [position * 2^-level, (position + 1) * 2^-level)."""
+    """Half-open interval [position * 2^-level, (position + 1) * 2^-level).
+
+    Both fields are stored as Python ints; any other integer type is
+    converted, and a non-integer or a bool raises ParameterError.
+    """
 
     level: int
     position: int
 
     def __post_init__(self):
+        if type(self.level) is not int or type(self.position) is not int:
+            object.__setattr__(self, "level", _integer(self.level, "interval level"))
+            object.__setattr__(self, "position", _integer(self.position, "interval position"))
         if self.level < 0:
             raise ParameterError(f"interval level must be >= 0, got {self.level}")
-        if not 0 <= self.position < 2 ** self.level:
+        # position < 2^level, tested without building 2^level (huge at a huge level)
+        if self.position < 0 or self.position.bit_length() > self.level:
             raise ParameterError(
                 f"position {self.position} outside the unit root at level {self.level}"
             )
@@ -226,10 +242,15 @@ class AtomPartition:
         self.root = root
         self.levels, self.positions = levels, positions
         self.finest_level = int(self.levels.max())
-        # atom endpoints as integer multiples of 2^-finest_level
-        shift = self.finest_level - self.levels
-        self.left_ticks = self.positions << shift
-        self.right_ticks = (self.positions + 1) << shift
+
+    # atom endpoints as integer multiples of 2^-finest_level
+    @cached_property
+    def left_ticks(self) -> np.ndarray:
+        return self.positions << (self.finest_level - self.levels)
+
+    @cached_property
+    def right_ticks(self) -> np.ndarray:
+        return (self.positions + 1) << (self.finest_level - self.levels)
 
     @cached_property
     def atoms(self) -> tuple[DyadicInterval, ...]:
@@ -298,32 +319,40 @@ def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
     A dyadic node below the root is split exactly when a member lies
     strictly inside it, that is, when it is a strict ancestor of a member;
     the atoms are the children of split nodes that are not split
-    themselves, or the root alone when nothing splits it. The result is
-    then uniformly refined `extra_depth` more levels; atoms at level 63 or
-    deeper raise ParameterError, as members there do (see interval_arrays).
+    themselves, or the root alone when nothing splits it. Nodes are heap
+    codes 2^level + position, whose parent is the code shifted right by
+    one: each member's walk upward adds its ancestors to a set of split
+    nodes and stops at the first one already there, so every split node is
+    visited once, and a depth-first walk of the split nodes, left child
+    first, reads the atoms off left to right. The result is then uniformly
+    refined `extra_depth` more levels, an integer >= 0 (a bool is not one).
+    Members or atoms at level 63 or deeper raise ParameterError, as in
+    interval_arrays.
     """
+    extra_depth = _integer(extra_depth, "extra_depth")
     if extra_depth < 0:
         raise ParameterError("extra_depth must be >= 0")
+    members = family.members
+    if members[-1].level >= 63:  # members are sorted by level
+        deep = next(m for m in members if m.level >= 63)
+        raise ParameterError(f"{deep} is at level 63 or deeper")
     root = family.root
-    level, pos = interval_arrays(family.members)
-    # heap codes 2^level + position are unique per node (levels below 63);
-    # the ancestor `up` levels above a node has its code shifted right by up
-    depth = level - root.level
-    member = np.repeat(np.arange(len(level)), depth)
-    up = np.arange(len(member)) - np.repeat(np.cumsum(depth) - depth, depth) + 1
-    split, first = np.unique(((1 << level) + pos)[member] >> up, return_index=True)
-    if len(split):
-        # the children of split nodes that are not split themselves
-        children = np.concatenate([2 * split, 2 * split + 1])
-        at = np.minimum(np.searchsorted(split, children), len(split) - 1)
-        leaf = split[at] != children
-        cell_level = np.tile(level[member[first]] - up[first] + 1, 2)[leaf]
-        cell_pos = children[leaf] - (1 << cell_level)
-    else:
-        cell_level = np.array([root.level], dtype=np.int64)
-        cell_pos = np.array([root.position], dtype=np.int64)
-    order = np.argsort(cell_pos << (cell_level.max() - cell_level))
-    cell_level, cell_pos = cell_level[order], cell_pos[order]
+    floor = 1 << root.level  # codes below it lie above the root
+    split: set[int] = set()
+    for m in members:
+        node = ((1 << m.level) + m.position) >> 1
+        while node >= floor and node not in split:
+            split.add(node)
+            node >>= 1
+    stack, cells = [floor + root.position], []
+    while stack:
+        node = stack.pop()
+        if node in split:
+            stack += (2 * node + 1, 2 * node)
+        else:
+            cells.append(node)
+    cell_level = np.array([c.bit_length() - 1 for c in cells], dtype=np.int64)
+    cell_pos = np.array(cells, dtype=np.int64) - (1 << cell_level)
     if extra_depth:
         deepest = int(cell_level.max()) + extra_depth
         if deepest >= 63:
@@ -332,8 +361,13 @@ def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
             )
         k = 1 << extra_depth
         cell_level = np.repeat(cell_level + extra_depth, k)
-        cell_pos = np.repeat(cell_pos << extra_depth, k) + np.tile(np.arange(k), len(order))
+        cell_pos = np.repeat(cell_pos << extra_depth, k) + np.tile(np.arange(k), len(cells))
     return AtomPartition.from_arrays(root, cell_level, cell_pos)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 class FamilyGeometry:
@@ -342,35 +376,55 @@ class FamilyGeometry:
     Every member is a contiguous run of partition atoms, so the (m, 2)
     array of member atom ranges gives the 0/1 member-by-atom incidence
     matrix. On the family's own atoms (no `part` given) every member is
-    aligned by construction, and its range is read off the atoms' left
-    endpoints; an outside partition goes through `atom_ranges`, which
-    raises ParameterError naming a member it does not align with.
-    Containment comes from member levels and positions, the same matrix
-    `carleson_constant` uses without building a partition. The arrays are
-    read-only, since `family_geometry` hands one geometry to many callers.
+    aligned by construction, and its range is found by looking up its two
+    endpoints among the atoms' left endpoints; an outside partition goes
+    through `atom_ranges` at once, which raises ParameterError naming a
+    member it does not align with. Containment comes from member levels
+    and positions, the same matrix `carleson_constant` uses without
+    building a partition. The member levels, positions and lengths are
+    computed here; the own atoms, ranges, incidence and containment on
+    first use, so a caller that reads member masses alone (the two-weight
+    characteristic) costs O(m). Every array is read-only, since
+    `family_geometry` hands one geometry to many callers. So are the weight
+    masses, which are computed once per weight object and array and kept
+    for as long as the geometry lives.
     """
 
     def __init__(self, family: SparseFamily, part: AtomPartition | None = None):
         self.family = family
         self.levels, self.positions = interval_arrays(family.members)
-        if part is None:
-            self.part = part = atoms_of(family)
-            shift = part.finest_level - self.levels
-            self.ranges = np.stack([
-                np.searchsorted(part.left_ticks, self.positions << shift),
-                np.searchsorted(part.left_ticks, (self.positions + 1) << shift),
-            ], axis=1)
-        else:
-            self.part = part
-            self.ranges = part.atom_ranges(self.levels, self.positions)
-        lo, hi = self.ranges[:, :1], self.ranges[:, 1:]
-        atom = np.arange(len(self.part))
-        self.incidence = ((atom >= lo) & (atom < hi)).astype(float)  # (m, n)
-        self.contains = _containment(self.levels, self.positions)  # [i, j]: i encloses j
         self.lengths = np.ldexp(1.0, -self.levels)
-        for arr in (self.levels, self.positions, self.ranges, self.incidence,
-                    self.contains, self.lengths):
+        for arr in (self.levels, self.positions, self.lengths):
             arr.setflags(write=False)
+        self._masses = {}  # (id(w), on atoms) -> (w, masses)
+        if part is not None:
+            self.part = part
+            self.ranges = _read_only(part.atom_ranges(self.levels, self.positions))
+
+    @cached_property
+    def part(self) -> AtomPartition:
+        return atoms_of(self.family)
+
+    @cached_property
+    def ranges(self) -> np.ndarray:
+        part = self.part
+        shift = part.finest_level - self.levels
+        return _read_only(np.stack([
+            np.searchsorted(part.left_ticks, self.positions << shift),
+            np.searchsorted(part.left_ticks, (self.positions + 1) << shift),
+        ], axis=1))
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """(m, n) 0/1 member-by-atom matrix."""
+        atom = np.arange(len(self.part))
+        lo, hi = self.ranges[:, :1], self.ranges[:, 1:]
+        return _read_only(((atom >= lo) & (atom < hi)).astype(float))
+
+    @cached_property
+    def contains(self) -> np.ndarray:
+        """[i, j]: member i encloses member j."""
+        return _read_only(_containment(self.levels, self.positions))
 
     def length_powers(self, exponent: float) -> np.ndarray:
         """|Q|^exponent per member, by Python's float power.
@@ -382,11 +436,25 @@ class FamilyGeometry:
         return np.array([x**exponent for x in self.lengths.tolist()])
 
     def masses(self, w) -> tuple[np.ndarray, np.ndarray]:
-        """(atom masses, member masses) of a weight, one `w.masses` call each."""
-        return (
-            w.masses(self.part.levels, self.part.positions),
-            w.masses(self.levels, self.positions),
-        )
+        """(atom masses, member masses) of a weight, read-only."""
+        return self._kernel(w, True), self._kernel(w, False)
+
+    def member_masses(self, w) -> np.ndarray:
+        """Member masses of a weight, read-only; the atoms are not built."""
+        return self._kernel(w, False)
+
+    def _kernel(self, w, on_atoms: bool) -> np.ndarray:
+        """One `w.masses` call per weight object and array; later calls reuse it.
+
+        The entry holds the weight itself, so its id cannot be reused while
+        the entry lives.
+        """
+        key = (id(w), on_atoms)
+        entry = self._masses.get(key)
+        if entry is None:
+            at = self.part if on_atoms else self
+            entry = self._masses[key] = (w, _read_only(w.masses(at.levels, at.positions)))
+        return entry[1]
 
 
 _last_geometry = (None, None)  # (family, geometry), replaced by one assignment

@@ -86,7 +86,7 @@ def random_family(
         for level in range(1, max_depth + 1):
             picks = rng.random(1 << level) < include_prob
             members.extend(
-                DyadicInterval(level, pos) for pos in np.nonzero(picks)[0]
+                DyadicInterval(level, pos) for pos in np.flatnonzero(picks).tolist()
             )
         if len(members) < 3:
             continue

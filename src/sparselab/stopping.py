@@ -5,11 +5,17 @@ children the maximal family members Q strictly inside F whose sigma-average
 of f strictly exceeds twice the average on F. The resulting collection
 controls sums of powered averages by the dyadic sigma-maximal function with
 the explicit geometric constant (1 - 2^{-p})^{-1}.
+
+Both the construction and the sum bound run on member indices of the
+family's shared geometry (`dyadic.family_geometry`): an array of averages,
+a principal mask and parent indices. The bound reads sigma's atom masses
+from the geometry, where the construction left them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,18 +25,56 @@ from .sparse import _require_mass
 from .weights import Weight, product_masses, weighted_integral
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StoppingFamily:
-    """Principals, the minimal-principal parent map, and stopping children."""
+    """Principals, the minimal-principal parent map, and stopping children.
+
+    The construction works on member indices, in the family's member
+    order: `member_averages` holds each member's sigma-average of f,
+    `principal_mask` marks the principals, `parent_index` gives each
+    member's minimal enclosing principal, and `child_index` maps each
+    principal's index to the indices of its stopping children. The
+    interval-keyed dicts `averages`, `parent` and `children` are views of
+    these, built on first use.
+    """
 
     family: SparseFamily
     principals: tuple[DyadicInterval, ...]
-    parent: dict
-    children: dict
-    averages: dict
+    member_averages: np.ndarray
+    principal_mask: np.ndarray
+    parent_index: np.ndarray
+    child_index: dict
+
+    @cached_property
+    def averages(self) -> dict:
+        return dict(zip(self.family.members, self.member_averages.tolist()))
+
+    @cached_property
+    def parent(self) -> dict:
+        members = self.family.members
+        return {q: members[i] for q, i in zip(members, self.parent_index.tolist())}
+
+    @cached_property
+    def children(self) -> dict:
+        members = self.family.members
+        return {
+            members[top]: tuple(members[i] for i in kids)
+            for top, kids in self.child_index.items()
+        }
 
     def principal_of(self, member: DyadicInterval) -> DyadicInterval:
         return self.parent[member]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.family == other.family
+            and self.principals == other.principals
+            and np.array_equal(self.member_averages, other.member_averages)
+            and np.array_equal(self.parent_index, other.parent_index)
+            and self.child_index == other.child_index
+        )
 
 
 def build_principal_cubes(
@@ -50,33 +94,38 @@ def build_principal_cubes(
     else:
         integrals = product_masses(f, sigma, geom.levels, geom.positions)
     avgs = integrals / sig_q
-    avg = dict(zip(members, avgs.tolist()))
-    # inside[i, j]: member i lies strictly inside member j
-    inside = geom.contains.T & ~np.eye(len(members), dtype=bool)
+    avg = avgs.tolist()
+    # up[j]: the deepest member strictly enclosing member j, or -1. Members
+    # are sorted by level, so each member's enclosing members come before it.
+    index = np.arange(len(members))
+    up = np.where(np.triu(geom.contains, 1), index[:, None], -1).max(axis=0)
 
-    principals: list[int] = []
-    children: dict = {}
-    stack = list(np.flatnonzero(~inside.any(axis=1)))
-    while stack:
-        top = stack.pop()
-        principals.append(top)
-        hits = np.flatnonzero(inside[:, top] & (avgs > factor * avgs[top]))
-        kids = hits[~inside[hits][:, hits].any(axis=1)]
-        children[members[top]] = tuple(members[i] for i in kids)
-        stack.extend(kids)
-    principals.sort()
-
-    # Principals enclosing a member form a chain; members are sorted by
-    # level, so the deepest of them has the largest index.
-    chosen = np.array(principals)
-    deepest = np.where(geom.contains[chosen], chosen[:, None], -1).max(axis=0)
-    parent = {q: members[i] for q, i in zip(members, deepest.tolist())}
+    # One pass in member order. The deepest principal strictly enclosing
+    # member j is the minimal principal of up[j]; j is a stopping child of
+    # it when its average exceeds factor times that principal's. Principals
+    # enter `children` in member order.
+    parent: list[int] = []
+    children: dict[int, list[int]] = {}
+    for j, u in enumerate(up.tolist()):
+        top = parent[u] if u >= 0 else -1
+        if top < 0 or avg[j] > factor * avg[top]:
+            if top >= 0:
+                children[top].append(j)
+            children[j] = []
+            parent.append(j)
+        else:
+            parent.append(top)
+    parent_index = np.array(parent)
+    mask = parent_index == index
+    for arr in (avgs, mask, parent_index):
+        arr.setflags(write=False)
     return StoppingFamily(
         family=family,
-        principals=tuple(members[i] for i in principals),
-        parent=parent,
-        children=children,
-        averages=avg,
+        principals=tuple(members[i] for i in children),
+        member_averages=avgs,
+        principal_mask=mask,
+        parent_index=parent_index,
+        child_index={top: tuple(kids) for top, kids in children.items()},
     )
 
 
@@ -90,13 +139,10 @@ def principal_sum_bound(
     dyadic maximal over all family members. Returns the worst atomwise
     ratio and the integrated (sigma-measure) ratio; both should be <= 1.
     """
-    members = stopping.family.members
     geom = family_geometry(stopping.family)
-    avgs = np.array([stopping.averages[q] for q in members])
-    chosen = set(stopping.principals)
-    is_principal = np.array([q in chosen for q in members])
+    avgs = stopping.member_averages
     maxavg = (geom.incidence * avgs[:, None]).max(axis=0)
-    lhs = np.where(is_principal, avgs**p, 0.0) @ geom.incidence
+    lhs = np.where(stopping.principal_mask, avgs**p, 0.0) @ geom.incidence
     rhs = maxavg**p / (1.0 - 2.0**-p)
     with np.errstate(divide="ignore", invalid="ignore"):
         pointwise = np.where(rhs > 0.0, lhs / rhs, 0.0)

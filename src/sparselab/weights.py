@@ -27,6 +27,7 @@ from .dyadic import (
     ROOT,
     DyadicInterval,
     SparseFamily,
+    family_geometry,
     interval_arrays,
     subtree_arrays,
     uniform_partition,
@@ -367,14 +368,19 @@ def _first_max(
 def two_weight_char(
     omega: Weight, sigma: Weight, cfg: ExponentConfig, family: SparseFamily
 ) -> CharacteristicReport:
-    """sup over family members of |Q|^{-alpha} omega(Q)^{1/q} sigma(Q)^{1/p'}."""
-    levels, positions = interval_arrays(family.members)
+    """sup over family members of |Q|^{-alpha} omega(Q)^{1/q} sigma(Q)^{1/p'}.
+
+    The member masses come from the family's geometry, which the norm
+    estimate and the testing sums of the same family share; reading them
+    builds no atoms.
+    """
+    geom = family_geometry(family)
     vals = (
-        np.ldexp(1.0, -levels) ** (-cfg.alpha)
-        * omega.masses(levels, positions) ** (1.0 / cfg.q)
-        * sigma.masses(levels, positions) ** (1.0 / cfg.p_conj)
+        geom.lengths ** (-cfg.alpha)
+        * geom.member_masses(omega) ** (1.0 / cfg.q)
+        * geom.member_masses(sigma) ** (1.0 / cfg.p_conj)
     )
-    best_val, best_q = _first_max(vals, levels, positions)
+    best_val, best_q = _first_max(vals, geom.levels, geom.positions)
     return CharacteristicReport(
         value=best_val,
         attained_at=best_q,

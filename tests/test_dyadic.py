@@ -1,5 +1,8 @@
+import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +16,7 @@ from sparselab import (
     atoms_of,
     carleson_constant,
     chain_family,
+    make_instance,
     packing_certified,
     relate,
     subdivide,
@@ -55,6 +59,23 @@ def test_interval_validation():
         DyadicInterval(-1, 0)
     with pytest.raises(ParameterError):
         DyadicInterval(1, -1)
+    # fields are integers and not bools; a float or a bool is rejected by name
+    for level, position, name in (
+        (2, 1.0, "position"), (2.0, 1, "level"), (True, 0, "level"), (1, False, "position"),
+    ):
+        with pytest.raises(ParameterError, match=f"interval {name} must be an integer"):
+            DyadicInterval(level, position)
+
+
+def test_interval_fields_are_python_ints():
+    q = DyadicInterval(np.int64(3), np.int32(5))
+    assert type(q.level) is int and type(q.position) is int
+    assert q == DyadicInterval(3, 5) and hash(q) == hash(DyadicInterval(3, 5))
+    assert repr(q) == "[5/2^3, 6/2^3)"
+    # generated instances carry plain ints, so their members serialize
+    members = make_instance("thm42", 7, 0).family.members
+    assert all(type(m.level) is int and type(m.position) is int for m in members)
+    assert json.loads(json.dumps([[m.level, m.position] for m in members]))
 
 
 def test_interval_geometry():
@@ -123,6 +144,26 @@ def test_levels_from_63_on_are_rejected():
         with pytest.raises(ParameterError, match="level 63 or deeper"):
             atoms_of(chain_family(60), extra_depth)
     assert atoms_of(chain_family(60), 2).finest_level == 62
+
+
+def test_huge_level_is_checked_without_building_its_power():
+    # the position bound must not build 2^level: at level 10^8 that is 12.5 MB
+    tracemalloc.start()
+    try:
+        deep = DyadicInterval(10**8, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ParameterError, match="level 63 or deeper"):
+        atoms_of(SparseFamily((ROOT, deep)))
+
+
+def test_extra_depth_must_be_an_integer():
+    for extra_depth in (1.5, True, -1):
+        with pytest.raises(ParameterError, match="extra_depth must"):
+            atoms_of(chain_family(2), extra_depth)
+    assert atoms_of(chain_family(2), np.int64(1)).atoms == atoms_of(chain_family(2), 1).atoms
 
 
 def test_family_dedup_and_root():

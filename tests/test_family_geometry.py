@@ -5,28 +5,42 @@ public norm estimate and testing sums with the family, and those share one
 geometry through `dyadic.family_geometry`, which rebuilds only when it is
 handed a different family object. The source scan, in the style of
 tests/test_solver_entry.py, keeps geometry-passing twins of the public
-functions and private geometry builds from coming back.
+functions and private geometry builds from coming back. The mass work
+guards count the weight kernels' calls: a geometry computes each weight
+object's atom and member masses once, and keeps them as long as it lives.
 """
 
 import ast
+import gc
 import importlib
 import inspect
 import pkgutil
+import weakref
 
 import numpy as np
 import pytest
 
 import sparselab
 from sparselab import (
+    DyadicInterval,
+    ExponentConfig,
     FamilyGeometry,
+    PiecewiseWeight,
     PositiveDyadicOperator,
+    PowerWeight,
+    SparseFamily,
+    atoms_of,
+    build_principal_cubes,
     chain_family,
     check_prop31,
     check_thm11,
     lsu_check,
     make_instance,
+    principal_sum_bound,
+    two_weight_char,
     verify_thm42,
 )
+from sparselab import dyadic
 from sparselab.dyadic import family_geometry
 
 
@@ -96,6 +110,84 @@ def test_shared_geometry_is_read_only():
     for name in ("incidence", "contains", "lengths", "ranges", "levels", "positions"):
         arr = getattr(geom, name)
         assert isinstance(arr, np.ndarray) and not arr.flags.writeable, name
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """One entry per `masses` kernel call of either weight class while the test runs."""
+    calls = []
+    for cls in (PiecewiseWeight, PowerWeight):
+        kernel = cls.masses
+        monkeypatch.setattr(
+            cls, "masses",
+            lambda self, *a, kernel=kernel: calls.append(self) or kernel(self, *a),
+        )
+    return calls
+
+
+def test_thm42_with_tstar_makes_six_kernel_calls(kernel_calls):
+    # atom and member masses of omega and sigma on the geometry, then one
+    # subtree call per A_infty scan; the characteristic and both testing
+    # sums read the geometry's masses
+    inst = make_instance("thm42", 7, 2)
+    _, rep_tstar = verify_thm42(inst.family, inst.cfg, inst.omega, inst.sigma)
+    assert rep_tstar is not None
+    assert len(kernel_calls) == 6
+
+
+@pytest.mark.parametrize("index", [0, 2])  # a piecewise and a power density f
+def test_principal_build_and_bound_make_five_kernel_calls(kernel_calls, index):
+    # sigma's two arrays on the geometry and three for the product density;
+    # the bound reads sigma's atom masses from the geometry
+    inst = make_instance("principal", 7, index)
+    f = inst.extras["f"]
+    assert isinstance(f, PowerWeight) == (index == 2)
+    stopping = build_principal_cubes(inst.family, f, inst.sigma)
+    principal_sum_bound(stopping, f, inst.sigma, inst.extras["p"])
+    assert len(kernel_calls) == 5
+
+
+def test_geometry_masses_are_kept_per_weight_object(kernel_calls):
+    geom = family_geometry(chain_family(4))
+    w = PiecewiseWeight(2, [1.0, 2.0, 3.0, 4.0])
+    first = geom.masses(w)
+    assert len(kernel_calls) == 2
+    second = geom.masses(w)
+    assert len(kernel_calls) == 2
+    assert all(a is b and not a.flags.writeable for a, b in zip(first, second))
+    # an equal weight that is another object gets its own entry
+    twin = PiecewiseWeight(2, [1.0, 2.0, 3.0, 4.0])
+    again = geom.masses(twin)
+    assert len(kernel_calls) == 4
+    assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, again))
+
+
+def test_characteristic_alone_builds_no_atoms(monkeypatch, kernel_calls):
+    # the characteristic reads member masses only, so a family of 2047
+    # members costs two kernel calls and no atoms, incidence or containment
+    built = []
+    monkeypatch.setattr(dyadic, "atoms_of", lambda *a: built.append(a) or atoms_of(*a))
+    family = SparseFamily(tuple(DyadicInterval(k, m) for k in range(11) for m in range(1 << k)))
+    omega, sigma = (PiecewiseWeight(6, np.linspace(1.0, 2.0, 64)) for _ in range(2))
+    rep = two_weight_char(omega, sigma, ExponentConfig(2.0, 2.0, 1.0, 1.0), family)
+    assert rep.value == pytest.approx(2.0, rel=1e-12)
+    assert built == [] and len(kernel_calls) == 2
+    geom = family_geometry(family)
+    assert not {"part", "ranges", "incidence", "contains"} & set(vars(geom))
+
+
+def test_masses_live_as_long_as_the_cached_geometry():
+    family = chain_family(4)
+    geom = family_geometry(family)
+    w = PiecewiseWeight(2, [1.0, 2.0, 3.0, 4.0])
+    geom.masses(w)
+    geom_ref, w_ref = weakref.ref(geom), weakref.ref(w)
+    del geom, w
+    gc.collect()
+    assert geom_ref() is not None and w_ref() is not None  # held by the one-slot cache
+    family_geometry(chain_family(4))  # another family object takes the slot
+    gc.collect()
+    assert geom_ref() is None and w_ref() is None
 
 
 class _Scan(ast.NodeVisitor):

@@ -6,9 +6,12 @@ FamilyGeometry is recomputed here the direct way: containment from
 the enclosed members, the indicator bound from the cube-by-cube
 `apply_sparse` operator, and the principal cubes from the stopping rule
 applied with `encloses`. The instances come from the suites, so the
-families are the random depth-6 subtrees the suites run on.
+families are the random depth-6 subtrees the suites run on. The heap-code
+atom walk is also held bitwise to the former numpy pipeline (`_ref_atoms`)
+on the suite families, every chain and random families down to level 28.
 """
 
+import itertools
 import math
 import re
 
@@ -34,6 +37,7 @@ from sparselab import (
     atoms_of,
     build_principal_cubes,
     carleson_constant,
+    chain_family,
     check_lemma41,
     check_lemma43,
     classical_ap,
@@ -44,11 +48,13 @@ from sparselab import (
     principal_sum_bound,
     subdivide,
     two_weight_char,
+    uniform_partition,
     verify_thm42,
     weighted_average,
 )
 from sparselab import testing_T as _testing_T
 from sparselab import testing_Tstar as _testing_Tstar
+from sparselab.dyadic import interval_arrays
 from sparselab.instances import SUITES
 
 TRIALS = range(12)
@@ -106,6 +112,97 @@ def _suite_families(seed):
     for n, suite in enumerate(SUITES):
         for i in TRIALS:
             yield make_instance(suite, seed, len(TRIALS) * n + i).family
+
+
+def _ref_atoms(family, extra_depth=0):
+    """Atom levels and positions by the former numpy pipeline (a reference only).
+
+    Heap codes of every strict ancestor of every member, from repeat and
+    cumsum, are the split nodes after np.unique; the atoms are their
+    children that searchsorted does not find among them, sorted by left tick.
+    """
+    root = family.root
+    level, pos = interval_arrays(family.members)
+    depth = level - root.level
+    member = np.repeat(np.arange(len(level)), depth)
+    up = np.arange(len(member)) - np.repeat(np.cumsum(depth) - depth, depth) + 1
+    split, first = np.unique(((1 << level) + pos)[member] >> up, return_index=True)
+    if len(split):
+        children = np.concatenate([2 * split, 2 * split + 1])
+        at = np.minimum(np.searchsorted(split, children), len(split) - 1)
+        leaf = split[at] != children
+        cell_level = np.tile(level[member[first]] - up[first] + 1, 2)[leaf]
+        cell_pos = children[leaf] - (1 << cell_level)
+    else:
+        cell_level = np.array([root.level], dtype=np.int64)
+        cell_pos = np.array([root.position], dtype=np.int64)
+    order = np.argsort(cell_pos << (cell_level.max() - cell_level))
+    cell_level, cell_pos = cell_level[order], cell_pos[order]
+    if extra_depth:
+        k = 1 << extra_depth
+        cell_level = np.repeat(cell_level + extra_depth, k)
+        cell_pos = np.repeat(cell_pos << extra_depth, k) + np.tile(np.arange(k), len(order))
+    return cell_level, cell_pos
+
+
+def _ref_geometry(family):
+    """Atoms, member ranges, incidence and containment by the former code."""
+    atom_level, atom_pos = _ref_atoms(family)
+    level, pos = interval_arrays(family.members)
+    finest = atom_level.max()
+    left = atom_pos << (finest - atom_level)
+    shift = finest - level
+    ranges = np.stack([
+        np.searchsorted(left, pos << shift), np.searchsorted(left, (pos + 1) << shift),
+    ], axis=1)
+    atom = np.arange(len(atom_level))
+    incidence = ((atom >= ranges[:, :1]) & (atom < ranges[:, 1:])).astype(float)
+    down = level - level[:, None]
+    contains = (down >= 0) & (pos >> np.maximum(down, 0) == pos[:, None])
+    return {"levels": atom_level, "positions": atom_pos, "ranges": ranges,
+            "incidence": incidence, "contains": contains}
+
+
+def _random_deep_family(rng):
+    levels = rng.integers(0, 29, int(rng.integers(1, 25)))
+    return SparseFamily(tuple(
+        DyadicInterval(int(k), int(rng.integers(0, 1 << int(k)))) for k in levels
+    ))
+
+
+def _reference_families():
+    for seed in (1, 7):
+        for suite in SUITES:
+            for i in range(60):
+                yield make_instance(suite, seed, i).family
+    for depth in range(63):
+        yield chain_family(depth)
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        yield _random_deep_family(rng)
+
+
+def test_geometry_is_bitwise_the_former_numpy_pipeline():
+    count = 0
+    for family in _reference_families():
+        geom = FamilyGeometry(family)
+        got = {"levels": geom.part.levels, "positions": geom.part.positions,
+               "ranges": geom.ranges, "incidence": geom.incidence, "contains": geom.contains}
+        for name, expected in _ref_geometry(family).items():
+            assert got[name].dtype == expected.dtype, (family, name)
+            assert np.array_equal(got[name], expected), (family, name)
+        count += 1
+    assert count == 2 * len(SUITES) * 60 + 63 + 300
+
+
+def test_refined_atoms_are_bitwise_the_former_numpy_pipeline():
+    rng = np.random.default_rng(7)
+    for n in range(300):
+        family = _random_deep_family(rng)
+        part = atoms_of(family, n % 3)
+        levels, positions = _ref_atoms(family, n % 3)
+        assert part.levels.dtype == levels.dtype and part.positions.dtype == positions.dtype
+        assert np.array_equal(part.levels, levels) and np.array_equal(part.positions, positions)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -228,9 +325,17 @@ def _strictly_inside(q, other):
     return q != other and other.encloses(q)
 
 
+def _step_density(f):
+    """f's cell averages on the depth-6 cells, as a StepFunction."""
+    return StepFunction(uniform_partition(ROOT, 6), np.ldexp(f.grid_masses(ROOT, 6), 6), nonneg=True)
+
+
 def test_principal_cubes_match_encloses_loops():
-    for inst in _instances("principal"):
-        family, f, sigma = inst.family, inst.extras["f"], inst.sigma
+    # the suite's own densities, and the same densities as step functions
+    for i, step in itertools.product(range(100), (False, True)):
+        inst = make_instance("principal", 7, i)
+        family, sigma = inst.family, inst.sigma
+        f = _step_density(inst.extras["f"]) if step else inst.extras["f"]
         members = family.members
         avg = {q: weighted_average(f, sigma, q) for q in members}
         stack = [q for q in members if not any(_strictly_inside(q, o) for o in members)]
@@ -250,6 +355,13 @@ def test_principal_cubes_match_encloses_loops():
         assert got.principals == tuple(sorted(principals))
         assert got.children == children
         assert got.parent == parent
+        assert got.averages == pytest.approx(avg, rel=1e-14)
+        assert all(got.principal_of(q) == parent[q] for q in members)
+        assert got.principal_mask.tolist() == [q in children for q in members]
+        assert build_principal_cubes(family, f, sigma) == got
+        # the rule is scale-free, so only the averages tell these apart
+        doubled = build_principal_cubes(family, f.scaled(2.0), sigma)
+        assert doubled.principals == got.principals and doubled != got
 
 
 def test_geometry_masses_make_no_scalar_mass_calls(monkeypatch):
