@@ -26,26 +26,35 @@ confirms it; all others run seeded multi-start iterations.
 
 Because every cube of a sparse family is a contiguous run of partition
 atoms, cube sums and their transposes are products with the 0/1
-cube-by-atom incidence matrix, which the objective takes from the
+cube-by-atom incidence matrix I, which the objective takes from the
 family's compiled geometry (see dyadic.FamilyGeometry). The objective's
 `candidates` are its rows (the cube indicators), then the constant function.
 
-`CubeObjective` is one kernel in two pieces, with its exponents bound once
-(a power of 1 returns its argument, and F^(e-1) is skipped at e = 1):
-- the forward piece gives F and h (`_image`), then sn = sum omega h^t and
-  sd = sum sigma f^s, hence log J = log(sn)/t - (e/s) log(sd);
-- the pullback piece gives w = range_sum(omega h^(t-1)) and g (`_g`), then
-  the gradient.
-Value sweeps (`value`, `log_value`) run the forward piece alone;
-`log_value_and_grad`, the endpoint certificate, runs both. A step needs g
-alone, so the fixed-point loop tests stationarity only on every
-RESIDUAL_EVERY-th pass: there it runs both pieces without log J (`_step`),
-which returns which starts still move and g; the passes in between run
-`_image` and `_g` alone, the same code the full pass runs. The
-floating-point operations, their order and the row batches are those of a
-single pass computing log J, g and the gradient on every step, so every
-value is bitwise what that pass gives under the same schedule
-(tests/test_ascent_kernel.py keeps it as the reference).
+`CubeObjective` compiles its step once, on first use, and keeps it for its
+own lifetime, with its exponents bound at construction (a power of 1
+returns its argument, and F^(e-1) is skipped at e = 1). sigma, gamma and
+omega never change within a solve, so they are folded into the products:
+- two-stage form (any e): F = f @ diag(sigma) I^T, h = F^e @ diag(gamma) I,
+  and g = (F^(e-1) (h^(t-1) @ diag(omega) I^T)) @ diag(gamma) I;
+- one-stage form (e = 1 and n <= 2m, for m cubes and n atoms): the
+  atom-by-atom kernels H = diag(sigma) A and W = diag(omega) A of
+  A = I^T diag(gamma) I give h = f @ H and g = h^(t-1) @ W.
+A pass over B rows costs 2 B n^2 flops in one stage and 4 B m n in two, so
+the shape alone picks the form. On these matrices the forward piece gives
+F and h, then sn = sum omega h^t and sd = sum sigma f^s, hence
+log J = log(sn)/t - (e/s) log(sd); the pullback piece gives g, then the
+gradient. Value sweeps (`value`, `log_value`) run the forward piece alone;
+`log_value_and_grad`, the endpoint certificate, runs both and also gives
+the endpoint values. A step needs g alone, so the fixed-point loop tests
+stationarity only on every RESIDUAL_EVERY-th pass: there it runs both
+pieces without log J (`_step`), which returns which starts still move and
+g; the passes in between run the g-only pass, the same products the full
+pass runs. The floating-point operations, their order and the row batches
+are those of a single pass computing log J, g and the gradient on the
+compiled matrices on every step, so every value is bitwise what that pass
+gives under the same schedule (tests/test_ascent_kernel.py keeps it as the
+reference, and the incidence form, with the weights applied apart, as an
+oracle that the compiled matrices match to the last bits).
 """
 
 from __future__ import annotations
@@ -53,11 +62,18 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
+
+
+class _StepMaps(NamedTuple):
+    image: Callable  # f -> (F or None, h)
+    pull: Callable  # (F, h) -> g
+    g_pass: Callable  # f -> g, the pass that needs g alone
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,18 +95,28 @@ class CubeObjective:
             object.__setattr__(self, name, arr)
         if self.incidence.shape != (len(self.gamma), self.n_atoms):
             raise ParameterError("one incidence row per cube coefficient is required")
-        # Bound once per objective: the transposed incidence (x @ incidence.T
-        # sums atom rows per cube, (B, n) -> (B, m); v @ incidence adds v_Q to
-        # every atom of Q) and each power, x itself at exponent 1.
+        # the step map and the Collatz-Wielandt bound assume nonnegative
+        # coefficients and masses, and the compiled step bakes them in
+        coefs = ("gamma", "sigma_atom", "omega_atom")
+        if not _finite_nonnegative(np.concatenate([getattr(self, name) for name in coefs])):
+            name = next(name for name in coefs if not _finite_nonnegative(getattr(self, name)))
+            raise ParameterError(f"{name} must be finite and nonnegative")
+        for name in ("e", "t"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0.0):
+                raise ParameterError(f"{name} must be finite and positive, got {val}")
+        # Bound once per objective: each power, x itself at exponent 1.
         bind = partial(object.__setattr__, self)
-        bind("_incidence_t", self.incidence.T)
         bind("_pow_e", _power(self.e))
         bind("_pow_t", _power(self.t))
         bind("_pow_s1", _power(self.s - 1.0))
         bind("_pow_t1", _power(self.t - 1.0))
-        # at e = 1, gamma F^(e-1) is gamma itself: gamma * 1 * w is gamma * w to the bit
+        # at e = 1, F^(e-1) is 1: the pullback takes w itself, as 1 * w is w to the bit
         bind("_pow_e1", None if self.e == 1.0 else _power(self.e - 1.0))
         bind("_e_sigma", self.e * self.sigma_atom)
+        # A pass costs 2 B n^2 flops in the one-stage form and 4 B m n in the
+        # two-stage form (B rows, m cubes, n atoms); the one-stage form needs e = 1.
+        bind("_one_stage", self.e == 1.0 and self.n_atoms <= 2 * len(self.gamma))
 
     @property
     def n_atoms(self) -> int:
@@ -99,19 +125,71 @@ class CubeObjective:
     @property
     def candidates(self) -> np.ndarray:
         """The cube indicators (the incidence rows), then the constant function."""
-        return np.vstack([self.incidence, np.ones(self.n_atoms)])
+        return np.concatenate([self.incidence, np.ones((1, self.n_atoms))])
 
-    def _image(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F = int_Q f dsigma, the cube integrals at rows f, and h, the operator image on atoms."""
-        big_f = (f * self.sigma_atom) @ self._incidence_t
-        return big_f, (self.gamma * self._pow_e(big_f)) @ self.incidence
+    @cached_property
+    def _matrices(self) -> tuple[np.ndarray, ...]:
+        """The step's matrices, composed on first use and kept for the objective's lifetime.
+
+        With I the incidence: in the one-stage form, the atom-by-atom kernels
+        H = diag(sigma) A and W = diag(omega) A of A = I^T diag(gamma) I; in
+        the two-stage form, diag(sigma) I^T, diag(gamma) I and diag(omega) I^T.
+        """
+        inc, inc_t = self.incidence, self.incidence.T
+        if self._one_stage:
+            kernel = inc_t @ (self.gamma[:, None] * inc)
+            return self.sigma_atom[:, None] * kernel, self.omega_atom[:, None] * kernel
+        return (self.sigma_atom[:, None] * inc_t, self.gamma[:, None] * inc,
+                self.omega_atom[:, None] * inc_t)
+
+    @cached_property
+    def _step_maps(self) -> _StepMaps:
+        """The maps of a pass on the compiled matrices, bound on first use.
+
+        image(f) gives F = int_Q f dsigma, the cube integrals at rows f
+        ((B, n) -> (B, m)), and h, the operator image on atoms; the one-stage
+        form, h = f @ H, never forms F and gives None for it. pull(F, h)
+        gives g = scatter(gamma F^(e-1) range_sum(omega h^(t-1))): h^(t-1) @ W
+        in one stage; in two, w = h^(t-1) @ diag(omega) I^T sums per cube and
+        (F^(e-1) w) @ diag(gamma) I adds each cube's term to its atoms.
+        g_pass(f) is pull(*image(f)), the pass that needs g alone.
+        """
+        pow_e, pow_t1, pow_e1 = self._pow_e, self._pow_t1, self._pow_e1
+        dot = np.dot  # for 2-D arrays the same BLAS product as @, with less call overhead
+        if self._one_stage:
+            kernel_h, kernel_w = self._matrices
+
+            def image(f):
+                return None, dot(f, kernel_h)
+
+            def pull(big_f, h):
+                return dot(pow_t1(h), kernel_w)
+
+            def g_pass(f):
+                return dot(pow_t1(dot(f, kernel_h)), kernel_w)
+
+            return _StepMaps(image, pull, g_pass)
+        sigma_t, gamma_i, omega_t = self._matrices
+
+        def image(f):
+            big_f = dot(f, sigma_t)
+            return big_f, dot(pow_e(big_f), gamma_i)
+
+        def pull(big_f, h):
+            w = dot(pow_t1(h), omega_t)
+            return dot(w if pow_e1 is None else pow_e1(big_f) * w, gamma_i)
+
+        def g_pass(f):
+            return pull(*image(f))
+
+        return _StepMaps(image, pull, g_pass)
 
     def _forward(self, f: np.ndarray) -> tuple:
         """The forward piece at rows f: F, h, f^(s-1), sn and sd.
 
         sn = sum omega h^t and sd = sum sigma f^s give log J.
         """
-        big_f, h = self._image(f)
+        big_f, h = self._step_maps.image(f)
         sn = np.dot(self._pow_t(h), self.omega_atom)
         fs1 = self._pow_s1(f)
         sd = np.dot(fs1 * f, self.sigma_atom)
@@ -120,19 +198,13 @@ class CubeObjective:
     def _log_j(self, sn: np.ndarray, sd: np.ndarray) -> np.ndarray:
         return np.log(sn) / self.t - (self.e / self.s) * np.log(sd)
 
-    def _g(self, big_f: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """g = scatter(gamma F^(e-1) range_sum(omega h^(t-1))), the numerator gradient over e sigma."""
-        w = (self.omega_atom * self._pow_t1(h)) @ self._incidence_t
-        coef = self.gamma if self._pow_e1 is None else self.gamma * self._pow_e1(big_f)
-        return (coef * w) @ self.incidence
-
     def _pullback(self, f, big_f, h, fs1, sn, sd) -> tuple[np.ndarray, np.ndarray]:
         """The pullback piece: the gradient of log J in log f, and g.
 
         The gradient is e sigma f (g / sn - f^(s-1) / sd), so it vanishes
         exactly when f^(s-1) is proportional to g.
         """
-        g = self._g(big_f, h)
+        g = self._step_maps.pull(big_f, h)
         grad = self._e_sigma * f * (g / sn[:, None] - fs1 / sd[:, None])
         return grad, g
 
@@ -156,6 +228,11 @@ class CubeObjective:
         """Both pieces without log J: which rows of f still move (residual > tol), and g."""
         grad, g = self._pullback(f, *self._forward(f))
         return np.maximum.reduce(np.abs(grad), axis=1) > tol, g
+
+
+def _finite_nonnegative(arr: np.ndarray) -> bool:
+    """Every entry finite and >= 0; NaN fails both comparisons."""
+    return arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf
 
 
 def _identity(x: np.ndarray) -> np.ndarray:
@@ -189,11 +266,12 @@ ROUNDING_SLACK = 1e-12
 # The fixed-point loop tests stationarity, and stops starts, on every this-many-th
 # pass; the passes in between compute g alone, at about half a full pass's cost.
 # A start runs up to RESIDUAL_EVERY - 1 passes past its first stationary one. On
-# the 60-instance opnorm and lsu-local rounds (2-core Xeon, numpy 2.4, OpenBLAS),
-# 1, 2, 4 and 8 take 1,712, 1,742, 1,800 and 1,952 opnorm passes in 141.8, 126.4,
-# 114.6 and 106.7 ms (lsu-local: 128.1, 114.3, 105.7 and 100.2 ms). 4 keeps most
-# of the gain of 8 at under half its extra passes and moves a solver value of the
-# four solver suites by at most 1.7e-11 relative.
+# the 60-instance opnorm and lsu-local rounds of the compiled step (median whole
+# round over 21 runs; 2-core Xeon, numpy 2.4, OpenBLAS), 1, 2, 4 and 8 take
+# 1,712, 1,742, 1,800 and 1,952 opnorm passes in 69.1, 57.4, 51.4 and 49.4 ms
+# (lsu-local: 1,257, 1,280, 1,360 and 1,456 passes in 51.0, 43.3, 39.5 and
+# 37.3 ms). 4 keeps most of the gain of 8 at under half its extra passes and
+# moves a solver value of the four solver suites by at most 1.7e-11 relative.
 RESIDUAL_EVERY = 4
 
 
@@ -258,16 +336,17 @@ def maximize(
     `certified_upper_reason` says why. `iterations` counts the passes of both
     phases, a rejected constant start included. restarts = 0 sweeps the
     candidates only. A restarts, max_iters or seed that is not an integer
-    >= 0 (a bool is not one), and a tol that is not finite and positive,
-    raise ParameterError on every objective.
+    >= 0 (a bool is not one), and a tol that is not a real number (a bool is
+    not one), finite and positive, raise ParameterError on every objective.
     """
     if not objective.s > 1.0:
         raise ParameterError(f"the fixed-point step needs s > 1, got {objective.s}")
     for name, val in (("restarts", restarts), ("max_iters", max_iters), ("seed", seed)):
         if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 0:
             raise ParameterError(f"{name} must be >= 0 and an integer, not a bool, got {val!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParameterError(f"tol must be finite and positive, got {tol}")
+    real = not isinstance(tol, bool) and isinstance(tol, numbers.Real)
+    if not (real and math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be a finite positive real, not a bool, got {tol!r}")
     reason = _bracket_reason(objective)
     if reason is None and restarts == 0:
         reason = "restarts = 0: no start was run"
@@ -303,41 +382,45 @@ def _solve(
     # the first such pass whose residual is within tol, and the passes in
     # between step on g alone. A row goes back into f when its start stops or
     # the loop ends, so a step that stops no start gathers and scatters nothing.
+    g_pass = objective._step_maps.g_pass
     moving = np.arange(len(f))
     f_moving = f
     iterations = 0
     while len(moving) and iterations < max_iters:
         iterations += 1
         if iterations % RESIDUAL_EVERY:
-            g = objective._g(*objective._image(f_moving))
+            g = g_pass(f_moving)
         else:
             still, g = objective._step(f_moving, tol)
-            if not still.all():
+            if np.count_nonzero(still) < len(still):
                 stopped = ~still
                 f[moving[stopped]] = f_moving[stopped]
                 moving, g = moving[still], g[still]
-        f_moving = power(g / np.maximum.reduce(g, axis=1, keepdims=True))
+        g /= np.maximum.reduce(g, axis=1, keepdims=True)
+        f_moving = power(g)
     f[moving] = f_moving
 
+    # The endpoint certificate, the public log_value_and_grad at u = log f,
+    # also gives the endpoint values. The endpoints and the candidates are
+    # valued as two batches: BLAS may round a row differently with other rows
+    # beside it, and a candidate's value must not depend on the restarts (see
+    # indicator_lower_bound).
     u = np.log(f)
     logj, grad, g = objective.log_value_and_grad(u)
-    residual = float(np.max(np.abs(grad), initial=0.0))
-    # The endpoints and the candidates are valued as two batches: BLAS may
-    # round a row differently with other rows beside it, and a candidate's
-    # value must not depend on the restarts (see indicator_lower_bound).
+    residual = float(np.abs(grad).max(initial=0.0))
+    restart_values = np.exp(objective.outer * logj)
     candidates = objective.candidates
-    allf = np.concatenate([f, candidates], axis=0)
-    vals = np.concatenate([objective.value(f), objective.value(candidates)])
+    vals = np.concatenate([restart_values, objective.value(candidates)])
     vals = np.where(np.isfinite(vals), vals, -np.inf)
-    best = int(np.argmax(vals))
-    maximizer = allf[best]
+    best = int(vals.argmax())
+    maximizer = f[best] if best < len(f) else candidates[best - len(f)]
     peak = maximizer.max()
     if peak > 0.0:
         maximizer = maximizer / peak
     value = float(vals[best])
     upper, reason = None, None
     if certify:
-        ratio = np.max(g / np.exp(u) ** (objective.s - 1.0))
+        ratio = (g / np.exp(u) ** (objective.s - 1.0)).max()
         bound = float(ratio ** (objective.outer / objective.t)) * (1.0 + ROUNDING_SLACK)
         if not (value > 0.0 and math.isfinite(value)):
             reason = f"the value at the constant start is {value:g}, not positive and finite"
@@ -353,7 +436,7 @@ def _solve(
         iterations=iterations,
         converged=residual <= tol,
         residual=residual,
-        restart_values=np.exp(objective.outer * logj),
+        restart_values=restart_values,
         candidate_values=vals[len(f):],
         from_candidate=best >= len(f),
         starts=len(f),

@@ -90,6 +90,29 @@ class PowerWeight:
 LEBESGUE = PowerWeight(0.0)
 
 
+def _pairwise_tree(cells: np.ndarray, depth: int) -> np.ndarray:
+    """The node sums of the 2^depth cell values, summed pairwise level by level.
+
+    Node (k, m) sits at entry 2^k - 1 + m; the cells are the last row.
+    """
+    tree = np.empty((2 << depth) - 1)
+    tree[(1 << depth) - 1 :] = cells
+    for k in range(depth - 1, -1, -1):
+        below = tree[(2 << k) - 1 : (4 << k) - 1]
+        np.add(below[0::2], below[1::2], out=tree[(1 << k) - 1 : (2 << k) - 1])
+    return tree
+
+
+def _tree_masses(tree: np.ndarray, depth: int, lvl: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Masses of the intervals (lvl, pos) from the `_pairwise_tree` of cells at `depth`.
+
+    See PiecewiseWeight.masses, which is this lookup on the weight's own tree.
+    """
+    below = np.maximum(lvl - depth, 0)
+    node = (1 << (lvl - below)) - 1 + (pos >> below)
+    return np.ldexp(tree[node], -np.maximum(lvl, depth))
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseWeight:
     """Nonnegative density constant on each depth-`depth` atom of [0, 1).
@@ -113,11 +136,7 @@ class PiecewiseWeight:
             )
         if np.any(vals < 0):
             raise ParameterError("weight densities must be nonnegative")
-        tree = np.empty((2 << self.depth) - 1)
-        tree[(1 << self.depth) - 1 :] = vals
-        for k in range(self.depth - 1, -1, -1):
-            below = tree[(2 << k) - 1 : (4 << k) - 1]
-            np.add(below[0::2], below[1::2], out=tree[(1 << k) - 1 : (2 << k) - 1])
+        tree = _pairwise_tree(vals, self.depth)
         tree.setflags(write=False)
         object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "values", tree[(1 << self.depth) - 1 :])
@@ -131,10 +150,7 @@ class PiecewiseWeight:
         """
         lvl = np.asarray(levels, dtype=np.int64)
         pos = np.asarray(positions, dtype=np.int64)
-        below = np.maximum(lvl - self.depth, 0)
-        node_level = lvl - below
-        node = (1 << node_level) - 1 + (pos >> below)
-        return np.ldexp(self._tree[node], -np.maximum(lvl, self.depth))
+        return _tree_masses(self._tree, self.depth, lvl, pos)
 
     def mass(self, interval: DyadicInterval) -> float:
         return float(self.masses([interval.level], [interval.position])[0])
@@ -161,9 +177,10 @@ def product_masses(f: Weight, g: Weight, levels, positions) -> np.ndarray:
     A power times a power is again a power. Otherwise let the cells be those
     of the finest piecewise factor. On a cell, and on anything finer, at
     least one factor is constant, so the product's mass is exactly
-    f(Q) g(Q) / |Q|; coarser masses are node sums of a piecewise weight
-    holding the cell densities f(c) g(c) / |c|^2. No array is finer than
-    the factors' own cells, however deep the intervals.
+    f(Q) g(Q) / |Q|; coarser masses are node sums of the cell densities
+    f(c) g(c) / |c|^2, summed into the tree a piecewise weight holds, with
+    no weight built. No array is finer than the factors' own cells, however
+    deep the intervals.
     """
     lvl = np.asarray(levels, dtype=np.int64)
     pos = np.asarray(positions, dtype=np.int64)
@@ -171,8 +188,8 @@ def product_masses(f: Weight, g: Weight, levels, positions) -> np.ndarray:
         return PowerWeight(f.beta + g.beta, f.coeff * g.coeff).masses(lvl, pos)
     cells = max(w.depth for w in (f, g) if isinstance(w, PiecewiseWeight))
     grid = _grid(ROOT, cells)
-    prod = PiecewiseWeight(cells, np.ldexp(f.masses(*grid) * g.masses(*grid), 2 * cells))
-    out = prod.masses(lvl, pos)
+    tree = _pairwise_tree(np.ldexp(f.masses(*grid) * g.masses(*grid), 2 * cells), cells)
+    out = _tree_masses(tree, cells, lvl, pos)
     fine = lvl > cells
     if fine.any():
         lf, pf = lvl[fine], pos[fine]

@@ -1,16 +1,23 @@
-"""The lean CubeObjective kernel against the loop it replaced.
+"""The compiled CubeObjective kernel against the loop it replaced.
 
-The reference below is the earlier kernel: one `_stationarity` pass that
-computes log J, the pullback g and the gradient together, run on
-`f[moving]` on every step, and used for every value. Its stop test runs on
-every `every`-th pass, RESIDUAL_EVERY by default. The kernel splits that
-pass into a forward piece (log J) and a pullback piece (g and the gradient),
-and the solver's passes between stop tests compute g alone; all perform the
-same floating-point operations in the same order on the same row batches,
-so every solver output must agree bitwise, and each g-only pass gives the
-full pass's g to the bit. Against the reference at every = 1, the loop that
-tests on every pass, the later stops may move a value by at most 1e-10
-relative and must save the full passes.
+The reference below is a full, unfused pass on the objective's compiled
+matrices: one `_stationarity` pass that computes log J, the pullback g and
+the gradient together, run on `f[moving]` on every step, and used for every
+value. Its stop test runs on every `every`-th pass, RESIDUAL_EVERY by
+default. The kernel splits that pass into a forward piece (log J) and a
+pullback piece (g and the gradient), and the solver's passes between stop
+tests compute g alone; all perform the same floating-point operations in the
+same order on the same row batches, so every solver output must agree
+bitwise, and each g-only pass gives the full pass's g to the bit. Against
+the reference at every = 1, the loop that tests on every pass, the later
+stops may move a value by at most 1e-10 relative and must save the full
+passes.
+
+The incidence-form pass, which multiplies by the 0/1 incidence matrix and
+rescales by sigma, gamma and omega on every pass, is kept as an oracle: the
+compiled matrices fold those rescalings in, and at e = 1 with n <= 2m compose
+the atom-by-atom kernels, so values may move in their last bits only and
+every count must stay.
 """
 
 import math
@@ -19,14 +26,18 @@ import numpy as np
 import pytest
 
 from sparselab import (
+    ROOT,
+    DyadicInterval,
     ExponentConfig,
     PiecewiseWeight,
     PowerWeight,
+    SparseFamily,
     ascent,
     chain_family,
     estimate_opnorm,
     indicator_lower_bound,
     make_instance,
+    maximize,
     oracle_opnorm,
     rayleigh_objective,
     suites,
@@ -52,14 +63,40 @@ def _pow0(x, p, zero=False):
     return x**p
 
 
-def _ref_stationarity(obj: CubeObjective, f):
-    """log J, its gradient in log f and the pullback g, in one pass."""
-    big_f = (f * obj.sigma_atom) @ obj.incidence.T
-    h = (obj.gamma * _pow0(big_f, obj.e)) @ obj.incidence
+def _sums(obj: CubeObjective, f, h):
+    """sn, f^(s-1), sd and log J at rows f with image h."""
     sn = np.dot(_pow0(h, obj.t), obj.omega_atom)
     fs1 = f ** (obj.s - 1.0)
     sd = np.dot(fs1 * f, obj.sigma_atom)
     logj = np.log(sn) / obj.t - (obj.e / obj.s) * np.log(sd)
+    return sn, fs1, sd, logj
+
+
+def _ref_stationarity(obj: CubeObjective, f):
+    """log J, its gradient in log f and the pullback g, in one pass on the compiled matrices."""
+    if obj._one_stage:
+        kernel_h, kernel_w = obj._matrices
+        big_f, h = None, f @ kernel_h
+    else:
+        sigma_t, gamma_i, omega_t = obj._matrices
+        big_f = f @ sigma_t
+        h = _pow0(big_f, obj.e) @ gamma_i
+    sn, fs1, sd, logj = _sums(obj, f, h)
+    h_t1 = _pow0(h, obj.t - 1.0, zero=(obj.t < 1.0))
+    if obj._one_stage:
+        g = h_t1 @ kernel_w
+    else:
+        w = h_t1 @ omega_t
+        g = (_pow0(big_f, obj.e - 1.0, zero=(obj.e < 1.0)) * w) @ gamma_i
+    grad = obj.e * obj.sigma_atom * f * (g / sn[:, None] - fs1 / sd[:, None])
+    return logj, grad, g
+
+
+def _oracle_stationarity(obj: CubeObjective, f):
+    """The same pass in incidence form: the 0/1 incidence and the weights applied apart."""
+    big_f = (f * obj.sigma_atom) @ obj.incidence.T
+    h = (obj.gamma * _pow0(big_f, obj.e)) @ obj.incidence
+    sn, fs1, sd, logj = _sums(obj, f, h)
     w = (obj.omega_atom * _pow0(h, obj.t - 1.0, zero=(obj.t < 1.0))) @ obj.incidence.T
     g = (obj.gamma * _pow0(big_f, obj.e - 1.0, zero=(obj.e < 1.0)) * w) @ obj.incidence
     grad = obj.e * obj.sigma_atom * f * (g / sn[:, None] - fs1 / sd[:, None])
@@ -67,31 +104,34 @@ def _ref_stationarity(obj: CubeObjective, f):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _ref_value(obj: CubeObjective, f):
-    return np.exp(obj.outer * _ref_stationarity(obj, np.atleast_2d(f))[0])
+def _ref_value(obj: CubeObjective, f, stationarity=_ref_stationarity):
+    return np.exp(obj.outer * stationarity(obj, np.atleast_2d(f))[0])
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _ref_solve(objective, f, max_iters, tol, certify, every=RESIDUAL_EVERY):
+def _ref_solve(objective, f, max_iters, tol, certify, every=RESIDUAL_EVERY,
+               stationarity=_ref_stationarity):
     # the full pass on every step; the stop test on every `every`-th pass only
     power = 1.0 / (objective.s - 1.0)
     moving = np.arange(len(f))
     iterations = 0
     while len(moving) and iterations < max_iters:
         iterations += 1
-        _, grad, g = _ref_stationarity(objective, f[moving])
+        _, grad, g = stationarity(objective, f[moving])
         if iterations % every == 0:
             still = np.max(np.abs(grad), axis=1) > tol
             moving, g = moving[still], g[still]
         f[moving] = (g / g.max(axis=1, keepdims=True)) ** power
 
+    # the endpoint certificate values the endpoints too
     u = np.log(f)
-    logj, grad, g = _ref_stationarity(objective, np.exp(u))
+    logj, grad, g = stationarity(objective, np.exp(u))
     residual = float(np.max(np.abs(grad), initial=0.0))
+    restart_values = np.exp(objective.outer * logj)
     # the cube indicators and the constant function, valued as their own batch
     candidates = np.vstack([objective.incidence, np.ones(len(objective.sigma_atom))])
     allf = np.concatenate([f, candidates], axis=0)
-    vals = np.concatenate([_ref_value(objective, f), _ref_value(objective, candidates)])
+    vals = np.concatenate([restart_values, _ref_value(objective, candidates, stationarity)])
     vals = np.where(np.isfinite(vals), vals, -np.inf)
     best = int(np.argmax(vals))
     maximizer = allf[best]
@@ -117,7 +157,7 @@ def _ref_solve(objective, f, max_iters, tol, certify, every=RESIDUAL_EVERY):
         iterations=iterations,
         converged=residual <= tol,
         residual=residual,
-        restart_values=np.exp(objective.outer * logj),
+        restart_values=restart_values,
         candidate_values=vals[len(f):],
         from_candidate=best >= len(f),
         starts=len(f),
@@ -258,3 +298,95 @@ def test_residual_every_k_passes_drifts_little_and_saves_the_full_passes(monkeyp
     for index in range(60):
         _run_suite_solver(suite, index)
     assert len(rows) >= 60
+
+
+def _assert_close_to_oracle(res: AscentResult, oracle: AscentResult, rel=1e-13):
+    """Values within rel of the incidence-form oracle; every count and flag identical."""
+    for name in ("iterations", "converged", "starts", "from_candidate"):
+        assert getattr(res, name) == getattr(oracle, name), name
+    assert (res.certified_upper is None) == (oracle.certified_upper is None)
+    assert res.certified_upper_reason == oracle.certified_upper_reason
+    pairs = [(res.value, oracle.value)]
+    if res.certified_upper is not None:
+        pairs.append((res.certified_upper, oracle.certified_upper))
+    pairs += zip(res.restart_values, oracle.restart_values)
+    pairs += zip(res.candidate_values, oracle.candidate_values)
+    for got, want in pairs:
+        if got == want:
+            continue  # equal values, -inf and zero included
+        assert abs(got - want) <= rel * abs(want), (got, want)
+    return max((abs(a - b) / abs(b) for a, b in pairs if a != b), default=0.0)
+
+
+def _against_oracle(monkeypatch, drift):
+    """Patch ascent._solve so every call is checked against the incidence-form oracle."""
+    solve = ascent._solve
+
+    def both(objective, f, max_iters, tol, certify):
+        oracle = _ref_solve(objective, f.copy(), max_iters, tol, certify,
+                            stationarity=_oracle_stationarity)
+        res = solve(objective, f, max_iters, tol, certify)
+        drift.append((objective._one_stage, _assert_close_to_oracle(res, oracle)))
+        return res
+
+    monkeypatch.setattr(ascent, "_solve", both)
+
+
+@pytest.mark.parametrize("suite", ["thm11", "lemma34", "prop31", "lemma32"])
+def test_compiled_kernel_drifts_in_the_last_bits_only(monkeypatch, suite):
+    # every _solve call of the suite's seed-7 instances 0-99 against the
+    # incidence-form oracle from the same starts: value, certified_lower (the
+    # candidate values), certified_upper and the restart values within 1e-13
+    # relative; iterations, converged, starts, from_candidate and the
+    # certificate identical
+    drift = []
+    _against_oracle(monkeypatch, drift)
+    for index in range(100):
+        _run_suite_solver(suite, index)
+    assert len(drift) >= 100
+    assert max(d for _, d in drift) > 0.0  # the compiled matrices do round differently
+    if suite == "lemma34":
+        assert all(one for one, _ in drift)  # e = 1 and n <= 2m: the one-stage form
+    else:
+        assert {one for one, _ in drift} == {True, False}  # both forms
+
+
+# a root and three members 20 to 24 levels down: 4 cubes, 64 atoms
+DEEP_SPARSE = SparseFamily((ROOT, DyadicInterval(20, 5), DyadicInterval(22, 3 << 20),
+                            DyadicInterval(24, 1 << 23)))
+
+
+@pytest.mark.parametrize("cfg", [ExponentConfig(2, 2, 1, 0.75), ExponentConfig(2, 4, 1, 0.75)],
+                         ids=["p=q", "p<q"])
+@pytest.mark.parametrize("family, one_stage", [
+    (chain_family(8), True), (chain_family(32), True), (DEEP_SPARSE, False),
+])
+def test_both_forms_of_the_step_match_the_reference_and_the_oracle(
+    monkeypatch, cfg, family, one_stage
+):
+    # a chain (n = m + 1 atoms) takes the one-stage form; at e = 1 too, a
+    # family with more than twice as many atoms as cubes takes the two-stage
+    # form. Either way the solver is bitwise the compiled-matrix reference
+    # and within 1e-13 of the incidence-form oracle, with identical counts.
+    # The weights are those of the paper's extremal chain (x^(3/2), x^(-3/4))
+    _, obj = rayleigh_objective(family, cfg, PowerWeight(1.5), PowerWeight(-0.75))
+    m, n = obj.incidence.shape
+    assert obj._one_stage == one_stage == (n <= 2 * m)
+    shapes = [(n, n), (n, n)] if one_stage else [(n, m), (m, n), (n, m)]
+    assert [a.shape for a in obj._matrices] == shapes
+    solve = ascent._solve
+    calls = []
+
+    def checked(objective, f, max_iters, tol, certify):
+        ref = _ref_solve(objective, f.copy(), max_iters, tol, certify)
+        oracle = _ref_solve(objective, f.copy(), max_iters, tol, certify,
+                            stationarity=_oracle_stationarity)
+        res = solve(objective, f, max_iters, tol, certify)
+        assert _fields(res) == _fields(ref)
+        _assert_close_to_oracle(res, oracle)
+        calls.append(res)
+        return res
+
+    monkeypatch.setattr(ascent, "_solve", checked)
+    res = maximize(obj)
+    assert calls and res.converged

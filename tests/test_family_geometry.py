@@ -136,15 +136,16 @@ def test_thm42_with_tstar_makes_six_kernel_calls(kernel_calls):
 
 
 @pytest.mark.parametrize("index", [0, 2])  # a piecewise and a power density f
-def test_principal_build_and_bound_make_five_kernel_calls(kernel_calls, index):
-    # sigma's two arrays on the geometry and three for the product density;
-    # the bound reads sigma's atom masses from the geometry
+def test_principal_build_and_bound_make_four_kernel_calls(kernel_calls, index):
+    # sigma's two arrays on the geometry and two for the product density, the
+    # cell masses of f and of sigma (its node sums come from a tree, with no
+    # weight built); the bound reads sigma's atom masses from the geometry
     inst = make_instance("principal", 7, index)
     f = inst.extras["f"]
     assert isinstance(f, PowerWeight) == (index == 2)
     stopping = build_principal_cubes(inst.family, f, inst.sigma)
     principal_sum_bound(stopping, f, inst.sigma, inst.extras["p"])
-    assert len(kernel_calls) == 5
+    assert len(kernel_calls) == 4
 
 
 def test_geometry_masses_are_kept_per_weight_object(kernel_calls):

@@ -297,12 +297,13 @@ def test_deep_dual_row_evaluates_few_summands(pqa, monkeypatch):
 @pytest.mark.parametrize("pqa", [P243, P487])
 def test_chunk_length_does_not_move_values(pqa, monkeypatch):
     p, q, alpha = pqa
-    eps = 1.01 * 2.0**-12  # K = 81109: the coefficient check spans two default chunks
+    eps = 1.01 * 2.0**-12  # K = 81109: two streamed chunks, five chunks of the coefficient scan
     k = math.ceil(20.0 / eps)
     base = primal_quantities(eps, p, q, alpha, k), dual_quantities(eps, p, q, alpha, k)
     assert base[1].coef_identity_max_rel > 0.0
     for chunk in (2**10, k + 1):
         monkeypatch.setattr(sharpness, "_CHUNK", chunk)
+        monkeypatch.setattr(sharpness, "_COEF_SCAN_CHUNK", chunk)
         got = primal_quantities(eps, p, q, alpha, k), dual_quantities(eps, p, q, alpha, k)
         for new, old in zip(got, base):
             for name, a, b in zip(old._fields, new, old):

@@ -309,17 +309,45 @@ def test_maximize_never_below_candidates():
     [{"restarts": -1}, {"max_iters": -1}, {"tol": 0.0}, {"tol": -1e-8},
      {"tol": math.nan}, {"tol": math.inf}, {"seed": -1},
      {"restarts": 1.5}, {"max_iters": 2.5}, {"seed": 1.5},
-     {"restarts": True}, {"max_iters": True}, {"seed": True}],
+     {"restarts": True}, {"max_iters": True}, {"seed": True},
+     {"tol": True}, {"tol": None}, {"tol": "1e-8"}],
 )
 def test_maximize_rejects_bad_solver_options(cfg, opts):
     # with and without the Collatz-Wielandt bracket; restarts = 0 stays valid.
-    # Counts and seeds are integers and not bools on every kind of row
+    # Counts and seeds are integers and not bools on every kind of row; tol is
+    # a real number and not a bool (True once ran the solver at tol 1.0)
     _, obj = rayleigh_objective(THREE_ATOMS, cfg, LEBESGUE, LEBESGUE)
     with pytest.raises(ParameterError):
         maximize(obj, **opts)
     with pytest.raises(ParameterError):
         estimate_opnorm(THREE_ATOMS, cfg, LEBESGUE, LEBESGUE, **opts)
     assert estimate_opnorm(THREE_ATOMS, cfg, LEBESGUE, LEBESGUE, restarts=0).starts == 0
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("gamma", -1.0), ("gamma", math.nan), ("gamma", math.inf),
+    ("sigma_atom", -1e-300), ("sigma_atom", math.nan), ("sigma_atom", math.inf),
+    ("omega_atom", -1.0), ("omega_atom", math.nan), ("omega_atom", -math.inf),
+    ("e", 0.0), ("e", -1.0), ("e", math.nan), ("e", math.inf),
+    ("t", 0.0), ("t", -1.0), ("t", math.nan), ("t", math.inf),
+])
+def test_cube_objective_rejects_invalid_inputs(field, bad):
+    # the step map and the Collatz-Wielandt bound assume nonnegative inputs:
+    # t = -1 on this instance returned 0.4427 and reported converged. Zero
+    # entries stay legal
+    inst = make_instance("thm11", 7, 0)
+    _, obj = rayleigh_objective(inst.family, inst.cfg, inst.omega, inst.sigma)
+    fields = ("gamma", "incidence", "sigma_atom", "omega_atom", "e", "t", "s", "outer")
+    kwargs = {name: getattr(obj, name) for name in fields}
+    if isinstance(kwargs[field], np.ndarray):
+        kwargs[field] = kwargs[field].copy()
+        kwargs[field][1] = 0.0
+        CubeObjective(**kwargs)
+        kwargs[field][1] = bad
+    else:
+        kwargs[field] = bad
+    with pytest.raises(ParameterError, match=rf"^{field} must be finite and"):
+        CubeObjective(**kwargs)
 
 
 def test_members_deeper_than_level_62_are_parameter_errors():

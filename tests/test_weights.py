@@ -247,6 +247,39 @@ def test_product_masses_against_exact_products():
     assert np.array_equal(both, PowerWeight(1.0, coeff=6.0).masses(*_arrays(ivs)))
 
 
+def _former_product_masses(f, g, lvl, pos):
+    """product_masses as it was: a PiecewiseWeight of the cell densities, built per call."""
+    cells = max(w.depth for w in (f, g) if isinstance(w, PiecewiseWeight))
+    grid = (np.full(1 << cells, cells), np.arange(1 << cells))
+    prod = PiecewiseWeight(cells, np.ldexp(f.masses(*grid) * g.masses(*grid), 2 * cells))
+    out = prod.masses(lvl, pos)
+    fine = lvl > cells
+    if fine.any():
+        lf, pf = lvl[fine], pos[fine]
+        out[fine] = np.ldexp(f.masses(lf, pf) * g.masses(lf, pf), lf)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_product_masses_are_bitwise_the_former_weight_route(seed):
+    # the principal suite's f and sigma, instances 0-99 (a piecewise f on two
+    # of every three, a power f on the third; sigma piecewise): the members,
+    # their parents and the intervals 12 levels below each member, against
+    # the route that built a PiecewiseWeight of the product on every call
+    kinds = set()
+    for index in range(100):
+        inst = make_instance("principal", seed, index)
+        f, sigma = inst.extras["f"], inst.sigma
+        kinds.add(type(f))
+        assert isinstance(sigma, PiecewiseWeight)
+        lvl, pos = _arrays(inst.family.members)
+        lvl = np.concatenate([lvl, np.maximum(lvl - 1, 0), lvl + 12])
+        pos = np.concatenate([pos, pos >> (lvl[: len(pos)] > 0), pos << 12])
+        got = product_masses(f, sigma, lvl, pos)
+        assert np.array_equal(got, _former_product_masses(f, sigma, lvl, pos)), index
+    assert kinds == {PiecewiseWeight, PowerWeight}
+
+
 def test_pow_and_scaled():
     w = PowerWeight(-0.5, coeff=2.0)
     # (2 x^{-1/2})^2 = 4/x is not integrable; pow must refuse it
