@@ -101,7 +101,8 @@ class CubeObjective:
         if not _finite_nonnegative(np.concatenate([getattr(self, name) for name in coefs])):
             name = next(name for name in coefs if not _finite_nonnegative(getattr(self, name)))
             raise ParameterError(f"{name} must be finite and nonnegative")
-        for name in ("e", "t"):
+        # s <= 1 stays legal for the value sweeps; maximize itself needs s > 1
+        for name in ("e", "t", "s"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise ParameterError(f"{name} must be finite and positive, got {val}")

@@ -23,8 +23,10 @@ once it is long (2^14 terms, eps below about 2^-10) it is summed by
 Gregory's formula: 2047 terms explicitly, the rest as a Gauss-Legendre
 integral on O(log K) nodes plus end corrections, with a streamed fallback
 whenever the error estimate exceeds 1e-14. A row then costs O(log K)
-apart from the coefficient-identity check, which stays O(K); no array
-grows with K.
+apart from the coefficient-identity check, which evaluates only the k a
+rigorous rounding envelope cannot rule out: none at a dyadic eps, about a
+half (alpha = 3/4) or a tenth (7/8) of the K + 1 at jittered eps near
+2^-17. No array grows with K.
 
 The reported tail bound per row is a one-sided geometric envelope of the
 discarded shells, relative to the truncated value and already divided by
@@ -34,6 +36,7 @@ reported norm by more than the stated amount.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -68,11 +71,12 @@ def _log2_geom_sum(n: int, d: float) -> float:
 
 
 _CHUNK = 1 << 16  # indices per streamed chunk
-# Indices per chunk of the coefficient-identity scan. Its maximum is exact, so
-# it is the same at every chunk length; on 36 sweep-like rows (eps = 2^(-k +- 0.02),
-# k = 9..17, alpha = 3/4 and 7/8) the scan took 115, 78 and 97 ms at 2^12,
-# 2^14 and 2^16 (2-core Xeon, numpy 2.4). The streamed sums keep _CHUNK: their
-# values move in the last bits with the chunk length.
+# Indices per chunk of the coefficient-identity scan. Its value is exact, so it
+# is the same at every chunk length; the scan stops only between chunks. On the
+# 108 sweep rows of seeds 1-3 (eps = 2^(-k +- 0.02), k = 9..17, alpha = 3/4
+# and 7/8) the check took 61, 46, 41, 53 and 77 ms at 2^12 ... 2^16 (2-core
+# Xeon, numpy 2.4), against 121 ms for the full scan at 2^14. The streamed sums
+# keep _CHUNK: their values move in the last bits with the chunk length.
 _COEF_SCAN_CHUNK = 1 << 14
 _EXACT_GROWTH = 54.0  # log2(2^x - 1) rounds to x for x past this
 
@@ -105,19 +109,24 @@ _GREGORY = (
 )
 
 
-@functools.cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 20-point Gauss-Legendre rule on [-1, 1], made on first use.
-
-    Importing numpy.polynomial and the LAPACK call inside leggauss add about
-    1.7 MB to the process; a process that never sums a long head skips both.
-    """
-    return np.polynomial.legendre.leggauss(20)
+# The 20-point Gauss-Legendre rule on [-1, 1], symmetric about 0: the nodes
+# x > 0 and their weights, bitwise those of numpy.polynomial.legendre.leggauss(20).
+# As literals they spare the process numpy.polynomial and the LAPACK call
+# inside leggauss, about 1 MB of resident memory.
+_LEGENDRE_HALF = np.array([
+    (0.07652652113349734, 0.15275338713072628), (0.22778585114164507, 0.14917298647260424),
+    (0.37370608871541955, 0.1420961093183824), (0.5108670019508271, 0.1316886384491769),
+    (0.636053680726515, 0.1181945319615186), (0.7463319064601508, 0.1019301198172407),
+    (0.8391169718222188, 0.08327674157670471), (0.912234428251326, 0.06267204833410879),
+    (0.9639719272779138, 0.040601429800386446), (0.993128599185095, 0.017614007139150893),
+])
+_LEGENDRE_NODES = np.concatenate((-_LEGENDRE_HALF[::-1, 0], _LEGENDRE_HALF[:, 0]))
+_LEGENDRE_WEIGHTS = np.concatenate((_LEGENDRE_HALF[::-1, 1], _LEGENDRE_HALF[:, 1]))
 
 
 def _gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 20-point Gauss-Legendre rule on each panel."""
-    t, w = _legendre_rule()
+    t, w = _LEGENDRE_NODES, _LEGENDRE_WEIGHTS
     half = 0.5 * np.diff(edges)
     nodes = (edges[:-1] + half)[:, None] + half[:, None] * t
     return nodes.ravel(), (half[:, None] * w).ravel()
@@ -176,40 +185,198 @@ def _log2_head_sum(n: int, g: float, log_term) -> float:
     return _log2_sum_streamed(1, n + 1, log_term)
 
 
-def _coef_identity_max_rel(eps: float, alpha: float, k_top: int) -> float:
-    """max_k |2^(a_k - b_k) - 1| over k = 0..k_top for the two coefficient forms.
+def _coef_a(eps: float, alpha: float, k: int) -> float:
+    """a_k = k (alpha - eps) - log2(eps)/2 - 1, rounded as `_coef_diffs` rounds it."""
+    return k * (alpha - eps) - 0.5 * math.log2(eps) - 1.0
+
+
+def _coef_diffs(
+    k: np.ndarray, eps: float, alpha: float, a: np.ndarray, b: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """d_k = a_k - b_k at the float indices k, in place in the buffers a, b, t.
 
     a_k = k (alpha - eps) - log2(eps)/2 - 1 is the closed form and
     b_k = alpha k + (log2(eps)/2 + eps k) + (-2 eps k - log2(2 eps)) the
-    product of the block factors. Each chunk is evaluated in place in
-    preallocated buffers, in the order the expressions are written, and only
-    the extremes of a_k - b_k go through |expm1(. ln2)|, which is monotone on
-    either side of 0, so the value is that of the plain array expressions
-    bitwise.
+    product of the block factors, each evaluated in the order written, so
+    every d_k is that of the plain array expressions bitwise. Returns a.
     """
     half_log2_eps = 0.5 * math.log2(eps)
+    np.multiply(k, alpha - eps, out=a)
+    np.subtract(a, half_log2_eps, out=a)
+    np.subtract(a, 1.0, out=a)
+    np.multiply(k, alpha, out=b)
+    np.multiply(k, eps, out=t)
+    np.add(t, half_log2_eps, out=t)
+    np.add(b, t, out=b)
+    np.multiply(k, -(2.0 * eps), out=t)
+    np.subtract(t, math.log2(2.0 * eps), out=t)
+    np.add(b, t, out=b)
+    return np.subtract(a, b, out=a)
+
+
+_ANY_BIT = 1 << 11  # lowest-bit exponent of 0.0, a multiple of every power of two
+
+
+def _lowest_bit(x: float) -> int:
+    """The exponent of the lowest set bit of x: x is a multiple of 2^that."""
+    if x == 0.0:
+        return _ANY_BIT
+    n, d = x.as_integer_ratio()
+    return (n & -n).bit_length() - d.bit_length()
+
+
+def _rounded(lo: float, hi: float, bit: int, errs: list) -> tuple[float, float, int]:
+    """One rounded operation over a range of k, with results from lo to hi.
+
+    lo <= hi are its rounded extremes and its exact results are multiples of
+    2^bit. Its rounding error is 0 when every exact result is below 2^(bit+53)
+    in magnitude, which makes it representable, and otherwise at most half an
+    ulp at the binade of the largest result; that bound goes to errs. The
+    rounded results are multiples of 2^bit too, and of 2^(e-52) when they all
+    lie at or above the binade 2^e in magnitude; the larger exponent is
+    returned with lo and hi.
+    """
+    big = max(-lo, hi)
+    top = math.frexp(big)[1]
+    if big > 0.0 and top > bit + 53:
+        errs.append(math.ldexp(1.0, max(top - 54, -1074)))
+    if lo > 0.0 or hi < 0.0:
+        bit = max(bit, math.frexp(lo if lo > 0.0 else hi)[1] - 53)
+    return lo, hi, bit
+
+
+def _coef_envelope(eps: float, alpha: float, k_lo: int, k_hi: int) -> tuple[float, float]:
+    """Bounds lower <= d_k <= upper over k = k_lo..k_hi for the d_k of `_coef_diffs`.
+
+    In exact arithmetic on the rounded constants, a_k - b_k is the model
+    k delta + gamma: delta = fl(alpha - eps) - (alpha - eps) and gamma =
+    log2(2 eps) - log2(eps) - 1 are rounding errors of the constants. The
+    error of one rounded subtraction is a float, so math.fsum gives delta
+    exactly; gamma is checked to be exact, else its ulp is added. Each of
+    the ten rounded operations adds its error, bounded by `_rounded` from
+    its results at k_lo and k_hi; every operation is monotone in each
+    operand, so those bound it over the range (standard model: Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, section
+    2.2). The model's extremes widened by these errors bound a_k - b_k, and
+    so its rounding d_k. d_k lies on the grid of the lowest bits of a_k and
+    b_k, so the bounds are rounded inwards to it; inside one binade 2^j of
+    both it is 2^(j-52), where the subtraction is exact by Sterbenz's lemma
+    (ibid., Theorem 2.5). At a dyadic eps every operation is exact and both
+    bounds are 0.0.
+    """
+    h = 0.5 * math.log2(eps)
     log2_two_eps = math.log2(2.0 * eps)
+    ks = float(k_lo), float(k_hi)
+    errs = []
+
+    def const(c):
+        return c, c, _lowest_bit(c)
+
+    def times(c):  # fl(k c) for the integers k >= 0 of the range
+        lo, hi = sorted((ks[0] * c, ks[1] * c))
+        return _rounded(lo, hi, _lowest_bit(c), errs)
+
+    def plus(x, y):  # fl(x + y), nondecreasing in x and in y
+        return _rounded(x[0] + y[0], x[1] + y[1], min(x[2], y[2]), errs)
+
+    a = plus(plus(times(alpha - eps), const(-h)), const(-1.0))
+    b = plus(
+        plus(times(alpha), plus(times(eps), const(h))),
+        plus(times(-(2.0 * eps)), const(-log2_two_eps)),
+    )
+    delta = math.fsum([alpha - eps, -alpha, eps])
+    gamma_parts = [log2_two_eps, -2.0 * h, -1.0]
+    gamma = math.fsum(gamma_parts)
+    if math.fsum(gamma_parts + [-gamma]) != 0.0:
+        errs.append(math.ulp(gamma))
+    model = plus(times(delta), const(gamma))
+    upper = math.nextafter(math.fsum([model[1], *errs]), math.inf)
+    lower = math.nextafter(math.fsum([model[0], *(-e for e in errs)]), -math.inf)
+    grid = math.ldexp(1.0, min(a[2], b[2]))
+    return math.ceil(lower / grid) * grid, math.floor(upper / grid) * grid
+
+
+def _coef_split(eps: float, alpha: float, top: int) -> tuple[int, list, list]:
+    """Split k = 0..top around c, the first k of the binade 2^j of a_top.
+
+    Returns c, the ranges [c + m, top - m] and [0, c - m - 1] to bound by
+    `_coef_envelope`, and the k within m of c or of top, to scan. The other
+    intermediates of `_coef_diffs` that grow with k stay within
+    2 k eps + |log2 eps| + 1 of a_k, and m is that gap in k: over the first
+    range they all keep to the binade 2^j, one grid and one ulp, and over the
+    second they all stay below it. a_k is nondecreasing in k, so c is found
+    by bisection.
+    """
+    a_top = _coef_a(eps, alpha, top)
+    if not a_top > 0.0:
+        return 0, [(0, top)], []
+    level = math.ldexp(1.0, math.frexp(a_top)[1] - 1)
+    edge = bisect.bisect_left(range(top + 1), level, key=lambda k: _coef_a(eps, alpha, k))
+    m = math.ceil((2.0 * top * eps - math.log2(eps) + 2.0) / (alpha - eps))
+    bounded = [(edge + m, top - m), (0, edge - m - 1)]
+    scanned = [(max(0, edge - m), min(top, edge + m - 1)), (max(edge + m, top - m + 1), top)]
+    return edge, [r for r in bounded if r[0] <= r[1]], [r for r in scanned if r[0] <= r[1]]
+
+
+@functools.cache
+def _coef_buffers(size: int) -> tuple[np.ndarray, ...]:
+    """0, 1, ..., size - 1 and four scratch arrays for the scan, made once.
+
+    Made per call, the arrays were handed back to the system between calls,
+    and the next call took about 70-130 page faults to map them again. The
+    scan is not reentrant: it is not run from several threads at once.
+    """
+    return (np.arange(size, dtype=float), *(np.empty(size) for _ in range(4)))
+
+
+def _coef_identity_max_rel(eps: float, alpha: float, k_top: int) -> float:
+    """max_k |2^(a_k - b_k) - 1| over k = 0..k_top for the two coefficient forms.
+
+    Both forms are affine in k and agree in exact arithmetic, so d_k = a_k -
+    b_k (`_coef_diffs`) is rounding only, and `_coef_envelope` bounds it. An
+    envelope of 0.0 over 0..k_top proves every d_k zero, as at a dyadic eps,
+    and the value is 0.0 unscanned. A row of one chunk is scanned outright:
+    the envelope costs about a quarter of its scan. Otherwise chunks are
+    scanned from the top down, and only the extremes of d_k go through
+    |expm1(. ln2)|, which is monotone on either side of 0. Once per binade of
+    a_k, while a chunk or more is left, `_coef_split` splits the k left: its
+    few k near binade edges are scanned and the rest bounded, and the scan
+    stops once that bound is at most the running value. No skipped k can then
+    raise it, so the value is that of the plain array expressions over every
+    k bitwise.
+    """
     size = min(_COEF_SCAN_CHUNK, k_top + 1)
-    iota = np.arange(size, dtype=float)
-    k, a, b, t = (np.empty(size) for _ in range(4))
+    if size <= k_top and _coef_envelope(eps, alpha, 0, k_top) == (0.0, 0.0):
+        return 0.0
+    iota, k, a, b, t = _coef_buffers(_COEF_SCAN_CHUNK)
     hi, lo = -math.inf, math.inf
-    for start in range(0, k_top + 1, size):
-        n = min(size, k_top + 1 - start)
-        kk, aa, bb, tt = k[:n], a[:n], b[:n], t[:n]
-        np.add(iota[:n], start, out=kk)
-        np.multiply(kk, alpha - eps, out=aa)
-        np.subtract(aa, half_log2_eps, out=aa)
-        np.subtract(aa, 1.0, out=aa)
-        np.multiply(kk, alpha, out=bb)
-        np.multiply(kk, eps, out=tt)
-        np.add(tt, half_log2_eps, out=tt)
-        np.add(bb, tt, out=bb)
-        np.multiply(kk, -(2.0 * eps), out=tt)
-        np.subtract(tt, log2_two_eps, out=tt)
-        np.add(bb, tt, out=bb)
-        np.subtract(aa, bb, out=aa)
-        hi, lo = max(hi, float(aa.max())), min(lo, float(aa.min()))
-    return float(np.abs(np.expm1(np.array([hi, lo]) * _LN2)).max())
+
+    def scan(first: int, last: int) -> float:
+        nonlocal hi, lo
+        for start in range(first, last + 1, size):
+            n = min(size, last + 1 - start)
+            kk = np.add(iota[:n], start, out=k[:n])
+            d = _coef_diffs(kk, eps, alpha, a[:n], b[:n], t[:n])
+            hi, lo = max(hi, float(d.max())), min(lo, float(d.min()))
+        return float(np.abs(np.expm1(np.array([hi, lo]) * _LN2)).max())
+
+    top, edge, bound = k_top, k_top + 1, math.inf
+    while True:
+        start = max(0, top + 1 - size)
+        value = scan(start, top)
+        top = start - 1
+        if top < 0:
+            return value
+        if top < edge and top >= size:
+            edge, bounded, scanned = _coef_split(eps, alpha, top)
+            for first, last in scanned:
+                value = scan(first, last)
+            envs = [_coef_envelope(eps, alpha, first, last) for first, last in bounded]
+            upper = max((e[1] for e in envs), default=0.0)
+            lower = min((e[0] for e in envs), default=0.0)
+            bound = float(np.abs(np.expm1(np.array([upper, lower]) * _LN2)).max())
+        if bound <= value:
+            return value
 
 
 def _log2_shell_sum(n: int, c: float, g: float, rate: float, d: float) -> float:

@@ -10,7 +10,11 @@ the largest intermediate is ~2^{450} and doubles still hold it; 40-digit
 mpmath shell sums, shell by shell, of all three norms at eps = 2^-8 and
 2^-9 and of the rhs at 2^-11; invariance under the chunk length; and
 Gregory summation against closed-form geometric sums up to n = 2^44 and
-against the streamed sum.
+against the streamed sum. The coefficient-identity check, which skips
+every k its rounding envelope proves cannot change its value, must equal
+the plain array expressions over every k bitwise: at fixed rows, at the
+chunk length, on the dyadic grid, and on random rows with short chunks;
+a second work guard counts the k it evaluates.
 The deep grid eps = 2^-9 ... 2^-17 checks slopes and tails where the
 benchmark runs, a tracemalloc guard keeps every array bounded
 independently of K, and a work guard counts the summand evaluations of a
@@ -21,6 +25,7 @@ eps^{-1/p}.
 
 import math
 import tracemalloc
+import unittest.mock
 
 import mpmath
 import numpy as np
@@ -267,6 +272,12 @@ def test_gregory_falls_back_to_streaming(monkeypatch):
     assert streamed == [(1, n + 1)]
 
 
+def test_legendre_rule_is_numpys_bitwise():
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    assert np.array_equal(sharpness._LEGENDRE_NODES, nodes)
+    assert np.array_equal(sharpness._LEGENDRE_WEIGHTS, weights)
+
+
 def test_gregory_error_estimate_flags_a_rough_summand():
     # 2^{sin j} is not smooth in j on the panel scale 2/g
     n, g = 2**15, 2.0**-10
@@ -322,6 +333,42 @@ def test_streamed_sum_across_chunk_seams(chunk, monkeypatch):
     assert sharpness._log2_sum_streamed(1, n + 1, term) == pytest.approx(one_chunk, rel=1e-15)
 
 
+def _coef_plain_diffs(eps, alpha, k_top):
+    """a_k - b_k as the plain array expressions over one arange."""
+    k = np.arange(k_top + 1, dtype=float)
+    log2_eps = math.log2(eps)
+    coef_a = k * (alpha - eps) - 0.5 * log2_eps - 1.0
+    coef_b = (
+        alpha * k
+        + (0.5 * log2_eps + eps * k)
+        + (-(2.0 * eps) * k - math.log2(2.0 * eps))
+    )
+    return coef_a - coef_b
+
+
+def _coef_plain(eps, alpha, k_top):
+    """The check's value from the plain array expressions, every k evaluated."""
+    diff = _coef_plain_diffs(eps, alpha, k_top)
+    return float(np.max(np.abs(np.expm1(diff * math.log(2.0)))))
+
+
+def _coef_full_scan(eps, alpha, k_top, chunk=2**16):
+    """_coef_plain in chunks, for deep rows: every k evaluated, memory bounded."""
+    hi, lo = -math.inf, math.inf
+    log2_eps = math.log2(eps)
+    for start in range(0, k_top + 1, chunk):
+        k = np.arange(start, min(start + chunk, k_top + 1), dtype=float)
+        coef_a = k * (alpha - eps) - 0.5 * log2_eps - 1.0
+        coef_b = (
+            alpha * k
+            + (0.5 * log2_eps + eps * k)
+            + (-(2.0 * eps) * k - math.log2(2.0 * eps))
+        )
+        diff = coef_a - coef_b
+        hi, lo = max(hi, diff.max()), min(lo, diff.min())
+    return float(np.max(np.abs(np.expm1(np.array([hi, lo]) * math.log(2.0)))))
+
+
 @pytest.mark.parametrize("alpha", [0.75, 0.875])
 def test_coef_identity_in_place_matches_array_expressions(alpha):
     # the plain array expressions over one arange, as written before the
@@ -329,16 +376,7 @@ def test_coef_identity_in_place_matches_array_expressions(alpha):
     for e in (9.013, 11.5, 12.98, 14.02):
         eps = 2.0**-e
         k_top = math.ceil(20.0 / eps)
-        k = np.arange(k_top + 1, dtype=float)
-        log2_eps = math.log2(eps)
-        coef_a = k * (alpha - eps) - 0.5 * log2_eps - 1.0
-        coef_b = (
-            alpha * k
-            + (0.5 * log2_eps + eps * k)
-            + (-(2.0 * eps) * k - math.log2(2.0 * eps))
-        )
-        expected = float(np.max(np.abs(np.expm1((coef_a - coef_b) * math.log(2.0)))))
-        assert sharpness._coef_identity_max_rel(eps, alpha, k_top) == expected
+        assert sharpness._coef_identity_max_rel(eps, alpha, k_top) == _coef_plain(eps, alpha, k_top)
 
 
 @pytest.mark.parametrize("alpha", [0.75, 0.875])
@@ -348,18 +386,99 @@ def test_coef_identity_negative_extreme(alpha, e):
     # its negative extreme
     eps = 2.0**-e
     k_top = math.ceil(20.0 / eps)
-    k = np.arange(k_top + 1, dtype=float)
-    log2_eps = math.log2(eps)
-    coef_a = k * (alpha - eps) - 0.5 * log2_eps - 1.0
-    coef_b = (
-        alpha * k
-        + (0.5 * log2_eps + eps * k)
-        + (-(2.0 * eps) * k - math.log2(2.0 * eps))
-    )
-    diff = coef_a - coef_b
+    diff = _coef_plain_diffs(eps, alpha, k_top)
     assert -diff.min() > diff.max() > 0.0
     expected = float(np.max(np.abs(np.expm1(diff * math.log(2.0)))))
     assert sharpness._coef_identity_max_rel(eps, alpha, k_top) == expected
+
+
+@pytest.mark.parametrize("alpha", [0.75, 0.875])
+@pytest.mark.parametrize("e", [9.1, 10.7])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_coef_identity_at_the_chunk_length(alpha, e, offset, monkeypatch):
+    # K + 1 one below, equal to and one above the chunk length, on the rows
+    # set by their negative extreme: one chunk scanned outright, or a chunk
+    # and a single k
+    eps = 2.0**-e
+    k_top = math.ceil(20.0 / eps)
+    monkeypatch.setattr(sharpness, "_COEF_SCAN_CHUNK", k_top + 1 - offset)
+    assert sharpness._coef_identity_max_rel(eps, alpha, k_top) == _coef_plain(eps, alpha, k_top)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    u=st.floats(3.0, 14.0),
+    short_alpha=st.sampled_from([0.75, 0.875, None]),
+    extra=st.integers(0, 5000),
+    chunk=st.sampled_from([2**8, 2**9, 2**10]),
+    data=st.data(),
+)
+def test_coef_identity_bitwise_with_the_envelope(u, short_alpha, extra, chunk, data):
+    # eps = 2^-u, dyadic or not; alpha short (k alpha exact) or any float in
+    # [2 eps, 1]; K = ceil(20/eps) or larger. Short chunks make the scan cross
+    # many chunk seams and binade edges of a_k, where the envelope splits its
+    # range; the value must be the plain expressions' over every k bitwise
+    eps = 2.0**-u
+    alpha = short_alpha or data.draw(st.floats(2.0 * eps, 1.0), label="alpha")
+    k_top = math.ceil(20.0 / eps) + extra
+    with unittest.mock.patch.object(sharpness, "_COEF_SCAN_CHUNK", chunk):
+        got = sharpness._coef_identity_max_rel(eps, alpha, k_top)
+    assert got == _coef_plain(eps, alpha, k_top)
+
+
+@pytest.mark.parametrize("alpha", [0.75, 0.875])
+def test_coef_identity_is_zero_on_the_dyadic_grid(alpha):
+    # every operation is exact at eps = 2^-4 ... 2^-17: the envelope proves
+    # the value 0.0 that the full scan finds
+    for e in range(4, 18):
+        eps = 2.0**-e
+        k_top = math.ceil(20.0 / eps)
+        assert sharpness._coef_envelope(eps, alpha, 0, k_top) == (0.0, 0.0)
+        assert sharpness._coef_identity_max_rel(eps, alpha, k_top) == 0.0
+        assert _coef_full_scan(eps, alpha, k_top) == 0.0
+
+
+def _seed1_deepest_eps():
+    # the sharpness-deep benchmark's eps at level 17 for seed 1:
+    # 2^(-k + u_k), u_k uniform in [-0.02, 0.02] for k = 9..17
+    return 2.0 ** (-17 + np.random.default_rng(1).uniform(-0.02, 0.02, 9)[-1])
+
+
+@pytest.mark.parametrize("alpha", [0.75, 0.875])
+def test_coef_identity_scans_few_indices(alpha, monkeypatch):
+    # the k whose d_k are evaluated, and the bisections for binade edges
+    diffs, coef_a = sharpness._coef_diffs, sharpness._coef_a
+    scanned, bisected = [], []
+
+    def counted_diffs(k, *args):
+        scanned.append(k.size)
+        return diffs(k, *args)
+
+    def counted_a(*args):
+        bisected.append(args)
+        return coef_a(*args)
+
+    monkeypatch.setattr(sharpness, "_coef_diffs", counted_diffs)
+    monkeypatch.setattr(sharpness, "_coef_a", counted_a)
+    # a dyadic eps: the envelope over 0..K is 0.0 and no k is evaluated
+    eps = 2.0**-17
+    assert sharpness._coef_identity_max_rel(eps, alpha, math.ceil(20.0 / eps)) == 0.0
+    assert sum(scanned) == 0
+    # the deepest jittered row of seed 1: 47% (3/4) and 9% (7/8) of K + 1 evaluated
+    eps = _seed1_deepest_eps()
+    k_top = math.ceil(20.0 / eps)
+    value = sharpness._coef_identity_max_rel(eps, alpha, k_top)
+    assert 0 < sum(scanned) <= 0.6 * (k_top + 1)
+    assert bisected
+    monkeypatch.setattr(sharpness, "_coef_diffs", diffs)
+    assert value == _coef_full_scan(eps, alpha, k_top)
+    # a row of one chunk is scanned outright, without bisection
+    bisected.clear()
+    eps = 2.0**-9.013
+    k_top = math.ceil(20.0 / eps)
+    assert k_top + 1 <= sharpness._COEF_SCAN_CHUNK
+    assert sharpness._coef_identity_max_rel(eps, alpha, k_top) == _coef_plain(eps, alpha, k_top)
+    assert not bisected
 
 
 @pytest.mark.parametrize("pqa,variant", [

@@ -330,10 +330,12 @@ def test_maximize_rejects_bad_solver_options(cfg, opts):
     ("omega_atom", -1.0), ("omega_atom", math.nan), ("omega_atom", -math.inf),
     ("e", 0.0), ("e", -1.0), ("e", math.nan), ("e", math.inf),
     ("t", 0.0), ("t", -1.0), ("t", math.nan), ("t", math.inf),
+    ("s", 0.0), ("s", -1.0), ("s", math.nan), ("s", math.inf),
 ])
 def test_cube_objective_rejects_invalid_inputs(field, bad):
     # the step map and the Collatz-Wielandt bound assume nonnegative inputs:
-    # t = -1 on this instance returned 0.4427 and reported converged. Zero
+    # t = -1 on this instance returned 0.4427 and reported converged, s = 0
+    # raised a bare ZeroDivisionError and s = -1 valued a row at 1.0. Zero
     # entries stay legal
     inst = make_instance("thm11", 7, 0)
     _, obj = rayleigh_objective(inst.family, inst.cfg, inst.omega, inst.sigma)
@@ -348,6 +350,19 @@ def test_cube_objective_rejects_invalid_inputs(field, bad):
         kwargs[field] = bad
     with pytest.raises(ParameterError, match=rf"^{field} must be finite and"):
         CubeObjective(**kwargs)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_cube_objective_keeps_s_up_to_one_for_values(s):
+    # the value sweeps may evaluate at 0 < s <= 1; only the fixed-point step
+    # of maximize needs s > 1
+    inst = make_instance("thm11", 7, 0)
+    _, obj = rayleigh_objective(inst.family, inst.cfg, inst.omega, inst.sigma)
+    fields = ("gamma", "incidence", "sigma_atom", "omega_atom", "e", "t", "outer")
+    low = CubeObjective(**{name: getattr(obj, name) for name in fields}, s=s)
+    assert np.all(np.isfinite(low.value(np.ones((1, low.n_atoms)))))
+    with pytest.raises(ParameterError, match="needs s > 1"):
+        maximize(low)
 
 
 def test_members_deeper_than_level_62_are_parameter_errors():
