@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Optional
 
 from .baselines import check_window, load_baselines, save_baselines
-from .dyadic import DyadicInterval, SparseFamily, carleson_constant, chain_family
+from .dyadic import DyadicInterval, SparseFamily, _packing, chain_family, interval_arrays
 from .errors import (
     EXIT_BASELINE,
     EXIT_DEGENERATE,
@@ -135,11 +135,11 @@ def _parse_family(obj: dict, path: str) -> SparseFamily:
             raise InstanceParseError(f"field {path}.depth: {err}") from err
     if kind == "members":
         raw = _get(obj, "intervals", path)
-        if not isinstance(raw, list) or not all(
+        if not isinstance(raw, list) or not raw or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in raw
         ):
             raise InstanceParseError(
-                f"field {path}.intervals must be a list of [level, position] pairs"
+                f"field {path}.intervals must be a non-empty list of [level, position] pairs"
             )
         for i, pair in enumerate(raw):
             if not all(map(_is_int, pair)):
@@ -151,7 +151,7 @@ def _parse_family(obj: dict, path: str) -> SparseFamily:
         if "eta" in obj:
             eta = _num(obj, "eta", path)
         else:
-            eta = 1.0 / carleson_constant(SparseFamily(members, eta=1.0))
+            eta = 1.0 / _packing(*interval_arrays(sorted(set(members))))
         try:
             return SparseFamily(members, eta=eta)
         except SparselabError as err:

@@ -127,7 +127,11 @@ def subdivide(interval: DyadicInterval, levels: int) -> list[DyadicInterval]:
 
 @dataclass(frozen=True)
 class SparseFamily:
-    """A finite family of dyadic intervals with a declared sparsity constant."""
+    """A finite family of dyadic intervals with a declared sparsity constant.
+
+    Members are sorted by (level, position) and unique; `levels` and `positions`
+    are their read-only int64 arrays, built on first use by `interval_arrays`.
+    """
 
     members: tuple[DyadicInterval, ...]
     eta: float = 0.5
@@ -155,9 +159,16 @@ class SparseFamily:
                 cur = cur.parent()
         return cur
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, interval_arrays(self.members)))
+
+    levels = property(lambda self: self._arrays[0])
+    positions = property(lambda self: self._arrays[1])
+
     @property
     def max_level(self) -> int:
-        return max(m.level for m in self.members)
+        return self.members[-1].level  # members are sorted by level
 
 
 def chain_family(depth: int) -> SparseFamily:
@@ -173,7 +184,11 @@ def carleson_constant(family: SparseFamily) -> float:
     The family is eta-sparse in the certified sense whenever the returned
     value is at most 1/eta.
     """
-    level, pos = interval_arrays(family.members)
+    return _packing(family.levels, family.positions)
+
+
+def _packing(level: np.ndarray, pos: np.ndarray) -> float:
+    """carleson_constant of the intervals with these sorted, unique arrays."""
     lengths = np.ldexp(1.0, -level)
     return float(np.max(_containment(level, pos) @ lengths / lengths))
 
@@ -332,15 +347,10 @@ def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
     extra_depth = _integer(extra_depth, "extra_depth")
     if extra_depth < 0:
         raise ParameterError("extra_depth must be >= 0")
-    members = family.members
-    if members[-1].level >= 63:  # members are sorted by level
-        deep = next(m for m in members if m.level >= 63)
-        raise ParameterError(f"{deep} is at level 63 or deeper")
     root = family.root
     floor = 1 << root.level  # codes below it lie above the root
     split: set[int] = set()
-    for m in members:
-        node = ((1 << m.level) + m.position) >> 1
+    for node in (((1 << family.levels) + family.positions) >> 1).tolist():
         while node >= floor and node not in split:
             split.add(node)
             node >>= 1
@@ -381,21 +391,19 @@ class FamilyGeometry:
     through `atom_ranges` at once, which raises ParameterError naming a
     member it does not align with. Containment comes from member levels
     and positions, the same matrix `carleson_constant` uses without
-    building a partition. The member levels, positions and lengths are
-    computed here; the own atoms, ranges, incidence and containment on
-    first use, so a caller that reads member masses alone (the two-weight
-    characteristic) costs O(m). Every array is read-only, since
-    `family_geometry` hands one geometry to many callers. So are the weight
-    masses, which are computed once per weight object and array and kept
-    for as long as the geometry lives.
+    building a partition. The member levels and positions are the family's
+    own, the lengths are computed here, and the own atoms, ranges, incidence
+    and containment on first use, so a caller that reads member masses alone
+    (the two-weight characteristic) costs O(m). Every array is read-only,
+    since `family_geometry` hands one geometry to many callers. So are the
+    weight masses, which are computed once per weight object and array and
+    kept for as long as the geometry lives.
     """
 
     def __init__(self, family: SparseFamily, part: AtomPartition | None = None):
         self.family = family
-        self.levels, self.positions = interval_arrays(family.members)
-        self.lengths = np.ldexp(1.0, -self.levels)
-        for arr in (self.levels, self.positions, self.lengths):
-            arr.setflags(write=False)
+        self.levels, self.positions = family.levels, family.positions
+        self.lengths = _read_only(np.ldexp(1.0, -self.levels))
         self._masses = {}  # (id(w), on atoms) -> (w, masses)
         if part is not None:
             self.part = part

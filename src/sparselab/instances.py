@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import ROOT, DyadicInterval, SparseFamily, carleson_constant
+from .dyadic import DyadicInterval, SparseFamily, _packing
 from .errors import ParameterError
 from .testing import MeasureEstimateQuery
 from .weights import ExponentConfig, PiecewiseWeight, PowerWeight
@@ -80,19 +80,13 @@ def random_family(
     max_depth: int = TREE_DEPTH,
     packing_cap: float = 4.0,
 ) -> SparseFamily:
-    """Random subtree-free subset of the dyadic tree, packing-bounded."""
+    """Random subtree-free subset of the dyadic tree, packing-bounded, built once."""
     while True:
-        members = [ROOT]
-        for level in range(1, max_depth + 1):
-            picks = rng.random(1 << level) < include_prob
-            members.extend(
-                DyadicInterval(level, pos) for pos in np.flatnonzero(picks).tolist()
-            )
-        if len(members) < 3:
-            continue
-        fam = SparseFamily(tuple(members), eta=1.0)
-        packing = carleson_constant(fam)
-        if packing <= packing_cap:
+        picks = [np.flatnonzero(rng.random(1 << k) < include_prob) for k in range(1, max_depth + 1)]
+        levels = np.repeat(np.arange(max_depth + 1), [1] + [len(p) for p in picks])
+        positions = np.concatenate([[0], *picks])  # member order: by level, then position
+        if len(levels) >= 3 and (packing := _packing(levels, positions)) <= packing_cap:
+            members = map(DyadicInterval, levels.tolist(), positions.tolist())
             return SparseFamily(tuple(members), eta=1.0 / packing)
 
 
@@ -126,8 +120,7 @@ def make_instance(suite: str, seed: int, index: int) -> RandomInstance:
         extras["coefs"] = 10.0 ** rng.uniform(-1.0, 1.0, len(family))
     elif suite == "lemma43":
         extras["query"] = MeasureEstimateQuery(*pick)
-        members = family.members
-        extras["top"] = members[int(rng.integers(len(members)))]
+        extras["top"] = family.members[int(rng.integers(len(family)))]
     elif suite == "principal":
         extras["p"] = pick
         kind = index % 3

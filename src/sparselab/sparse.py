@@ -41,9 +41,8 @@ def apply_sparse(
     geom = FamilyGeometry(family, f.partition)
     fs = f.values * geom.masses(sigma)[0]
     acc = np.zeros(len(fs))
-    for q, (i0, i1) in zip(family.members, geom.ranges):
-        cube_int = float(fs[i0:i1].sum())
-        acc[i0:i1] += (q.length ** (-cfg.alpha) * cube_int) ** cfg.r
+    for scale, (i0, i1) in zip(geom.length_powers(-cfg.alpha).tolist(), geom.ranges):
+        acc[i0:i1] += (scale * float(fs[i0:i1].sum())) ** cfg.r
     return StepFunction(f.partition, acc ** (1.0 / cfg.r), nonneg=True)
 
 

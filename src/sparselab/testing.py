@@ -9,6 +9,7 @@ frozen as regression baselines (see the baselines module).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .ascent import CubeObjective, maximize
-from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily, family_geometry, interval_arrays
+from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily, family_geometry
 from .errors import ParameterError
 from .sparse import _require_mass, estimate_opnorm, rhs_branch, theorem_rhs
 from .weights import (
@@ -374,17 +375,17 @@ def check_lemma43(
     For a > 0 the reference is |R|^a sigma(R)^b omega(R)^c alone; for a = 0
     the reference additionally carries the two Fujii-Wilson factors.
     """
-    if top not in family.members:
+    i = bisect.bisect_left(family.members, top)  # members are sorted
+    if family.members[i : i + 1] != (top,):
         raise ParameterError("reference interval must belong to the family")
-    inside = [q for q in family.members if top.encloses(q)]
-    levels, positions = interval_arrays(inside)
+    geom = family_geometry(family)
     terms = (
-        np.ldexp(1.0, -levels) ** query.a
-        * sigma.masses(levels, positions) ** query.b
-        * omega.masses(levels, positions) ** query.c
+        geom.lengths ** query.a
+        * geom.member_masses(sigma) ** query.b
+        * geom.member_masses(omega) ** query.c
     )
-    lhs = math.fsum(terms.tolist())
-    rhs = float(terms[inside.index(top)])
+    lhs = math.fsum(terms[geom.contains[i]].tolist())
+    rhs = float(terms[i])
     if query.a > 0.0:
         branch = "scale-positive: local value alone"
     else:
@@ -404,11 +405,8 @@ def check_lemma43(
 
 
 def _default_depth(family: SparseFamily, *weights: Weight) -> int:
-    depth = max(6, family.max_level)
-    for w in weights:
-        if isinstance(w, PiecewiseWeight):
-            depth = max(depth, w.depth)
-    return min(depth, 14)
+    depths = [w.depth for w in weights if isinstance(w, PiecewiseWeight)]
+    return min(max(6, family.max_level, *depths), 14)
 
 
 def _characteristics(

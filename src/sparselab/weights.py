@@ -449,8 +449,10 @@ def classical_ap(
     test_set: Union[SparseFamily, Iterable[DyadicInterval]],
 ) -> float:
     """sup_Q |Q|^{-p} omega(Q) sigma(Q)^{p-1} over the given intervals."""
-    intervals = test_set.members if isinstance(test_set, SparseFamily) else list(test_set)
-    levels, positions = interval_arrays(intervals)
+    if isinstance(test_set, SparseFamily):
+        levels, positions = test_set.levels, test_set.positions
+    else:
+        levels, positions = interval_arrays(list(test_set))
     vals = (
         np.ldexp(1.0, -levels) ** (-p)
         * omega.masses(levels, positions)

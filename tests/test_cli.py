@@ -6,7 +6,15 @@ from dataclasses import replace
 
 import pytest
 
-from sparselab import FamilyGeometry, RandomInstance, check_prop31, check_thm11
+from sparselab import (
+    DyadicInterval,
+    FamilyGeometry,
+    RandomInstance,
+    SparseFamily,
+    carleson_constant,
+    check_prop31,
+    check_thm11,
+)
 from sparselab import testing_T as _testing_T  # aliases keep pytest collection clean
 from sparselab import testing_Tstar as _testing_Tstar
 from sparselab.cli import _emit, _round12, load_instance, main
@@ -236,6 +244,33 @@ def test_parse_error_mistyped_interval(tmp_path, capsys, intervals, bad):
     code, rep, err = run_cli(capsys, ["opnorm", "--instance", inst, "--out", str(tmp_path)])
     assert code == 2 and rep is None
     assert err["error"] == "parse" and f"family.intervals[{bad}]" in err["message"]
+
+
+def test_member_family_eta_is_its_packing_and_built_once(tmp_path, monkeypatch):
+    # duplicates and any order; without "eta" the file gets 1 / carleson_constant
+    intervals = [[3, 1], [0, 0], [2, 0], [1, 0], [3, 1], [2, 1], [3, 0]]
+    payload = dict(CHAIN_INSTANCE, family={"kind": "members", "intervals": intervals})
+    inst = write_instance(tmp_path, payload)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(SparseFamily(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr("sparselab.cli.SparseFamily", counting)
+    family = load_instance(inst).family
+    assert built == [family]
+    assert family.members == tuple(sorted({DyadicInterval(k, m) for k, m in intervals}))
+    assert family.eta.hex() == (1.0 / carleson_constant(family)).hex()
+
+
+def test_parse_error_empty_interval_list(tmp_path, capsys):
+    for extra in ({}, {"eta": 0.5}):
+        payload = dict(CHAIN_INSTANCE, family={"kind": "members", "intervals": [], **extra})
+        inst = write_instance(tmp_path, payload)
+        code, rep, err = run_cli(capsys, ["opnorm", "--instance", inst, "--out", str(tmp_path)])
+        assert code == 2 and rep is None
+        assert err["error"] == "parse" and "non-empty list" in err["message"]
 
 
 def test_parse_error_unknown_keys(tmp_path, capsys):

@@ -22,6 +22,7 @@ from sparselab import (
     subdivide,
     uniform_partition,
 )
+from sparselab.dyadic import interval_arrays
 
 intervals = st.integers(min_value=0, max_value=7).flatmap(
     lambda k: st.integers(min_value=0, max_value=(1 << k) - 1).map(
@@ -259,3 +260,33 @@ def test_atoms_of_matches_set_walk(members, extra_depth):
     assert part.levels.tolist() == [a.level for a in ref]
     assert part.positions.tolist() == [a.position for a in ref]
     assert part.root == family.root
+
+
+# every level a member may have: heap codes fit in int64 below level 63
+any_level_intervals = st.integers(min_value=0, max_value=62).flatmap(
+    lambda k: st.integers(min_value=0, max_value=(1 << k) - 1).map(
+        lambda m: DyadicInterval(k, m)
+    )
+)
+
+
+@given(st.lists(st.one_of(intervals, any_level_intervals), min_size=1, max_size=16))
+def test_family_arrays_are_the_sorted_members(members):
+    # duplicates and any order: the arrays follow the sorted, unique members
+    members = members + members[: len(members) // 2]
+    family = SparseFamily(tuple(reversed(members)), eta=0.5)
+    levels, positions = interval_arrays(sorted(set(members)))
+    for got, want in ((family.levels, levels), (family.positions, positions)):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == want.tolist()
+    assert family.levels is family.levels  # built once
+    assert family.max_level == max(m.level for m in members)
+
+
+def test_deep_family_is_built_and_its_arrays_are_rejected():
+    # the level check fires where the arrays are read, not at construction
+    family = SparseFamily((ROOT, DyadicInterval(63, 5), DyadicInterval(70, 1)))
+    assert family.max_level == 70
+    for read in (lambda: family.levels, lambda: family.positions):
+        with pytest.raises(ParameterError, match=r"\[5/2\^63, 6/2\^63\) is at level 63"):
+            read()

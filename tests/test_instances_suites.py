@@ -5,9 +5,11 @@ import pytest
 
 from sparselab import (
     ComparabilityReport,
+    DyadicInterval,
     ParameterError,
     PowerWeight,
     ROOT,
+    SparseFamily,
     carleson_constant,
     make_instance,
     packing_certified,
@@ -15,6 +17,7 @@ from sparselab import (
     random_weight,
     run_suite,
 )
+from sparselab import instances
 from sparselab.instances import EXPONENT_MENUS, SUITES
 
 
@@ -53,6 +56,44 @@ def test_random_family_certified():
         assert len(family) >= 3
         assert carleson_constant(family) <= 4.0 + 1e-12
         assert packing_certified(family)
+
+
+def _family_by_objects(rng, include_prob=0.3, max_depth=6, packing_cap=4.0):
+    """Reference draw: one interval object per pick and a throwaway family for eta."""
+    while True:
+        members = [ROOT]
+        for level in range(1, max_depth + 1):
+            picks = rng.random(1 << level) < include_prob
+            members.extend(DyadicInterval(level, pos) for pos in np.flatnonzero(picks).tolist())
+        if len(members) < 3:
+            continue
+        packing = carleson_constant(SparseFamily(tuple(members), eta=1.0))
+        if packing <= packing_cap:
+            return SparseFamily(tuple(members), eta=1.0 / packing)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_drawn_families_equal_the_families_of_their_members(seed):
+    for suite in SUITES:
+        for index in range(100):
+            family = make_instance(suite, seed, index).family
+            ref = _family_by_objects(np.random.default_rng([seed, index]))
+            assert family == ref  # members and eta
+            assert family.eta.hex() == ref.eta.hex()
+            assert all(type(v) is int for m in family.members for v in (m.level, m.position))
+
+
+def test_random_family_builds_one_family_per_draw(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(SparseFamily(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(instances, "SparseFamily", counting)
+    rng = np.random.default_rng(3)
+    families = [random_family(rng) for _ in range(20)]
+    assert built == families
 
 
 def test_random_weight_range():

@@ -31,6 +31,7 @@ from sparselab import (
     ParameterError,
     PiecewiseWeight,
     PositiveDyadicOperator,
+    PowerWeight,
     ROOT,
     SparseFamily,
     chain_family,
@@ -231,6 +232,37 @@ def test_lemma43_localizes_to_top():
     # only levels 2..4 sit inside the top member
     assert rep.lhs == pytest.approx(0.25 + 0.125 + 0.0625, rel=1e-12)
     assert rep.rhs == pytest.approx(0.25, rel=1e-12)
+
+
+def _lemma43_by_objects(family, omega, sigma, query, top):
+    """Reference sums: the members inside top as objects, their masses by one call each."""
+    inside = [q for q in family.members if top.encloses(q)]
+    levels = np.array([q.level for q in inside])
+    positions = np.array([q.position for q in inside])
+    terms = (
+        np.ldexp(1.0, -levels) ** query.a
+        * sigma.masses(levels, positions) ** query.b
+        * omega.masses(levels, positions) ** query.c
+    )
+    return math.fsum(terms.tolist()), float(terms[inside.index(top)])
+
+
+def test_lemma43_reads_the_shared_geometry(monkeypatch):
+    queries = [MeasureEstimateQuery(1.0, 0.0, 0.0), MeasureEstimateQuery(0.25, 0.25, 0.5)]
+    for index in range(30):
+        inst = make_instance("lemma43", 5, index)
+        family = inst.family
+        for omega, sigma in ((inst.omega, inst.sigma), (PowerWeight(-0.4), PowerWeight(0.7))):
+            for query in queries:
+                for top in family.members[::3]:
+                    rep = check_lemma43(family, omega, sigma, query, top)
+                    want = _lemma43_by_objects(family, omega, sigma, query, top)
+                    assert (rep.lhs, rep.rhs) == want  # bitwise
+    # member masses come from the geometry: a second query computes none
+    check_lemma43(family, inst.omega, inst.sigma, queries[1], family.members[-1])
+    monkeypatch.setattr(PiecewiseWeight, "masses", lambda *args: pytest.fail("mass recomputed"))
+    monkeypatch.setattr("sparselab.dyadic.interval_arrays", lambda *a: pytest.fail("arrays"))
+    check_lemma43(family, inst.omega, inst.sigma, queries[1], family.members[0])
 
 
 def test_lemma43_validation():
