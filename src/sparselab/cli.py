@@ -19,8 +19,10 @@ is reported separately and is the only nondeterministic field.
 
 Exit codes: 0 success, 2 unreadable or malformed instance file (also
 argparse usage errors), 3 invalid parameters (infeasible exponents are
-rejected by `char` only), 4 degenerate instance, 5 a `verify` ratio
-window outside its frozen baseline, or a per-row invariant failure.
+rejected by `char` only, a scan depth below 0 or at level 63 or deeper by
+`char` and `opnorm` before anything is allocated), 4 degenerate instance,
+5 a `verify` ratio window outside its frozen baseline, or a per-row
+invariant failure.
 """
 
 from __future__ import annotations

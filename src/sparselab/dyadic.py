@@ -9,6 +9,11 @@ Sparsity of a family is certified through the Carleson packing condition
 sum_{Q' subset Q} |Q'| <= |Q| / eta rather than by constructing disjoint
 major subsets; for the nested chain families used in the closed-form
 experiments the two notions coincide with eta = 1/2.
+
+`scan_layout` is the one enumeration of an interval's descendants; grids
+and uniform partitions read its first block, and its depth rule holds for
+every reader: a depth above the interval, or at level 63 or deeper, raises
+ParameterError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -118,11 +123,39 @@ def relate(a: DyadicInterval, b: DyadicInterval) -> Relation:
 
 def subdivide(interval: DyadicInterval, levels: int) -> list[DyadicInterval]:
     """All descendants of the interval exactly `levels` levels down, in order."""
-    if levels < 0:
-        raise ParameterError("levels must be >= 0")
-    lvl = interval.level + levels
-    base = interval.position << levels
-    return [DyadicInterval(lvl, base + j) for j in range(1 << levels)]
+    return list(uniform_partition(interval, levels).atoms)
+
+
+def scan_layout(top: DyadicInterval, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descendants of top down to level `depth`, deepest level first, left to right.
+
+    Per entry: the levels k below top and the position j within that
+    level, so the entry is (top.level + k, (top.position << k) + j), and
+    the number 2^(depth - top.level - k) of level-`depth` intervals it
+    covers; the arrays are read-only and cached. A depth above top, or at
+    level 63 or deeper (heap codes leave int64), raises ParameterError
+    before anything is allocated.
+    """
+    depth = _integer(depth, "depth")
+    if depth < top.level:
+        raise ParameterError(f"depth {depth} lies above {top}")
+    if depth >= 63:
+        raise ParameterError(f"depth {depth} puts intervals at level 63 or deeper")
+    return _scan_layout(depth - top.level)
+
+
+@lru_cache(maxsize=8)
+def _scan_layout(down: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    k = np.repeat(np.arange(down, -1, -1), 1 << np.arange(down, -1, -1))
+    j = np.arange(len(k)) - ((2 << down) - (2 << k))
+    return tuple(map(_read_only, (k, j, 1 << (down - k))))
+
+
+def grid_arrays(top: DyadicInterval, down: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first block of `scan_layout`: top's descendants `down` levels below it, left to right."""
+    k, j, _ = scan_layout(top, top.level + down)
+    n = 1 << int(k[0])  # the deepest level comes first
+    return top.level + k[:n], (top.position << k[:n]) + j[:n]
 
 
 @dataclass(frozen=True)
@@ -204,17 +237,6 @@ def interval_arrays(intervals) -> tuple[np.ndarray, np.ndarray]:
     if deep.any():
         raise ParameterError(f"{intervals[int(np.argmax(deep))]} is at level 63 or deeper")
     return levels, np.array([q.position for q in intervals], dtype=np.int64)
-
-
-def subtree_arrays(top: DyadicInterval, down: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and positions of top's descendants 0, ..., down levels below it.
-
-    Level by level, left to right: the descendants k levels down occupy
-    entries 2^k - 1 to 2^(k+1) - 2, and entry 0 is top itself.
-    """
-    k = np.repeat(np.arange(down + 1), 1 << np.arange(down + 1))
-    offset = np.arange(len(k)) + 1 - (1 << k)
-    return top.level + k, (top.position << k) + offset
 
 
 def _containment(level: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -323,7 +345,8 @@ class AtomPartition:
         else:
             lo = interval.position >> (interval.level - self.finest_level)
         idx = int(np.searchsorted(self.left_ticks, lo, side="right")) - 1
-        if idx < 0 or not self.atoms[idx].encloses(interval):
+        atom = DyadicInterval(int(self.levels[idx]), int(self.positions[idx]))
+        if idx < 0 or not atom.encloses(interval):
             raise ParameterError(f"{interval} is not contained in a single atom")
         return idx
 
@@ -383,31 +406,26 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class FamilyGeometry:
     """Which members nest and which atoms each member covers, computed once.
 
-    Every member is a contiguous run of partition atoms, so the (m, 2)
+    Every member is a contiguous run of the family's atoms, so the (m, 2)
     array of member atom ranges gives the 0/1 member-by-atom incidence
-    matrix. On the family's own atoms (no `part` given) every member is
-    aligned by construction, and its range is found by looking up its two
-    endpoints among the atoms' left endpoints; an outside partition goes
-    through `atom_ranges` at once, which raises ParameterError naming a
-    member it does not align with. Containment comes from member levels
-    and positions, the same matrix `carleson_constant` uses without
-    building a partition. The member levels and positions are the family's
-    own, the lengths are computed here, and the own atoms, ranges, incidence
-    and containment on first use, so a caller that reads member masses alone
-    (the two-weight characteristic) costs O(m). Every array is read-only,
-    since `family_geometry` hands one geometry to many callers. So are the
+    matrix. Every member is aligned with its own atoms by construction, and
+    its range is found by looking up its two endpoints among the atoms'
+    left endpoints. Containment comes from member levels and positions, the
+    same matrix `carleson_constant` uses without building a partition. The
+    member levels and positions are the family's own, the lengths are
+    computed here, and the atoms, ranges, incidence and containment on
+    first use, so a caller that reads member masses alone (the two-weight
+    characteristic) costs O(m). Every array is read-only, since
+    `family_geometry` hands one geometry to many callers. So are the
     weight masses, which are computed once per weight object and array and
     kept for as long as the geometry lives.
     """
 
-    def __init__(self, family: SparseFamily, part: AtomPartition | None = None):
+    def __init__(self, family: SparseFamily):
         self.family = family
         self.levels, self.positions = family.levels, family.positions
         self.lengths = _read_only(np.ldexp(1.0, -self.levels))
         self._masses = {}  # (id(w), on atoms) -> (w, masses)
-        if part is not None:
-            self.part = part
-            self.ranges = _read_only(part.atom_ranges(self.levels, self.positions))
 
     @cached_property
     def part(self) -> AtomPartition:
@@ -479,5 +497,5 @@ def family_geometry(family: SparseFamily) -> FamilyGeometry:
 
 
 def uniform_partition(interval: DyadicInterval, depth_below: int) -> AtomPartition:
-    """Uniform partition of an interval into its depth-`depth_below` descendants."""
-    return AtomPartition(interval, subdivide(interval, depth_below))
+    """Uniform partition of an interval into its depth-`depth_below` descendants, from arrays."""
+    return AtomPartition.from_arrays(interval, *grid_arrays(interval, depth_below))

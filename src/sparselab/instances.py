@@ -22,6 +22,8 @@ from .weights import ExponentConfig, PiecewiseWeight, PowerWeight
 
 WEIGHT_DEPTH = 6
 TREE_DEPTH = 6
+INCLUDE_PROB = 0.3  # chance that a node below the root is a member
+PACKING_CAP = 4.0  # largest Carleson constant a drawn family may have
 
 # (p, q, r, alpha) menus; order matters, trials cycle through them.
 EXPONENT_MENUS = {
@@ -74,18 +76,13 @@ def _instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def random_family(
-    rng: np.random.Generator,
-    include_prob: float = 0.3,
-    max_depth: int = TREE_DEPTH,
-    packing_cap: float = 4.0,
-) -> SparseFamily:
+def random_family(rng: np.random.Generator) -> SparseFamily:
     """Random subtree-free subset of the dyadic tree, packing-bounded, built once."""
     while True:
-        picks = [np.flatnonzero(rng.random(1 << k) < include_prob) for k in range(1, max_depth + 1)]
-        levels = np.repeat(np.arange(max_depth + 1), [1] + [len(p) for p in picks])
+        picks = [np.flatnonzero(rng.random(1 << k) < INCLUDE_PROB) for k in range(1, TREE_DEPTH + 1)]
+        levels = np.repeat(np.arange(TREE_DEPTH + 1), [1] + [len(p) for p in picks])
         positions = np.concatenate([[0], *picks])  # member order: by level, then position
-        if len(levels) >= 3 and (packing := _packing(levels, positions)) <= packing_cap:
+        if len(levels) >= 3 and (packing := _packing(levels, positions)) <= PACKING_CAP:
             members = map(DyadicInterval, levels.tolist(), positions.tolist())
             return SparseFamily(tuple(members), eta=1.0 / packing)
 

@@ -596,7 +596,6 @@ class SharpnessConfig:
     alpha: float
     variant: str
     eps_grid: tuple[float, ...] = field(default_factory=default_eps_grid)
-    k_factor: float = 20.0
 
     def __post_init__(self):
         _require_sobolev_line(self.p, self.q, self.alpha)
@@ -609,8 +608,6 @@ class SharpnessConfig:
             raise ParameterError("eps grid must lie in (0, 1)")
         if any(a <= b for a, b in zip(grid, grid[1:])):
             raise ParameterError("eps grid must be strictly decreasing")
-        if self.k_factor < 20.0:
-            raise ParameterError("truncation rule must give K >= 20/eps")
         if self.variant == "dual" and grid[0] > self.alpha / 2.0:
             raise ParameterError(
                 "dual experiment restricted to eps <= alpha/2 (recorded cap)"
@@ -618,7 +615,8 @@ class SharpnessConfig:
         object.__setattr__(self, "eps_grid", grid)
 
     def k_of(self, eps: float) -> int:
-        return math.ceil(self.k_factor / eps)
+        """K = ceil(20/eps), the least depth the quantities' tail rule accepts."""
+        return math.ceil(20.0 / eps)
 
 
 @dataclass(frozen=True, eq=False)

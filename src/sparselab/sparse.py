@@ -36,14 +36,17 @@ def apply_sparse(
     """Pointwise value of the operator applied to f dsigma, on f's partition.
 
     f must live on a partition refining the family's atoms; the cube
-    integrals int_Q f dsigma are then exact atom sums.
+    integrals int_Q f dsigma are then exact atom sums, and a member that
+    is not a union of f's atoms raises ParameterError.
     """
-    geom = FamilyGeometry(family, f.partition)
-    fs = f.values * geom.masses(sigma)[0]
+    part = f.partition
+    ranges = part.atom_ranges(family.levels, family.positions)
+    fs = f.values * sigma.masses(part.levels, part.positions)
+    scales = family_geometry(family).length_powers(-cfg.alpha)
     acc = np.zeros(len(fs))
-    for scale, (i0, i1) in zip(geom.length_powers(-cfg.alpha).tolist(), geom.ranges):
+    for scale, (i0, i1) in zip(scales.tolist(), ranges):
         acc[i0:i1] += (scale * float(fs[i0:i1].sum())) ** cfg.r
-    return StepFunction(f.partition, acc ** (1.0 / cfg.r), nonneg=True)
+    return StepFunction(part, acc ** (1.0 / cfg.r), nonneg=True)
 
 
 def lp_norm(f: StepFunction, w: Weight, p: float) -> float:

@@ -2,9 +2,9 @@
 
 Starting from the maximal members, each principal interval F spawns as
 children the maximal family members Q strictly inside F whose sigma-average
-of f strictly exceeds twice the average on F. The resulting collection
-controls sums of powered averages by the dyadic sigma-maximal function with
-the explicit geometric constant (1 - 2^{-p})^{-1}.
+of f strictly exceeds FACTOR = 2 times the average on F. The resulting
+collection controls sums of powered averages by the dyadic sigma-maximal
+function with the constant (1 - 2^{-p})^{-1}, which needs that factor.
 
 Both the construction and the sum bound run on member indices of the
 family's shared geometry (`dyadic.family_geometry`): an array of averages,
@@ -23,6 +23,8 @@ from .dyadic import DyadicInterval, SparseFamily, family_geometry
 from .functions import StepFunction
 from .sparse import _require_mass
 from .weights import Weight, product_masses, weighted_integral
+
+FACTOR = 2.0  # principal_sum_bound's constant (1 - FACTOR^-p)^-1 holds for this factor only
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +79,8 @@ class StoppingFamily:
         )
 
 
-def build_principal_cubes(
-    family: SparseFamily, f, sigma: Weight, factor: float = 2.0
-) -> StoppingFamily:
-    """Stopping construction with rule <f>_Q^sigma > factor * <f>_F^sigma.
+def build_principal_cubes(family: SparseFamily, f, sigma: Weight) -> StoppingFamily:
+    """Stopping construction with rule <f>_Q^sigma > FACTOR * <f>_F^sigma.
 
     f is a nonnegative Weight density or StepFunction; sigma must have
     positive mass on every member.
@@ -102,13 +102,13 @@ def build_principal_cubes(
 
     # One pass in member order. The deepest principal strictly enclosing
     # member j is the minimal principal of up[j]; j is a stopping child of
-    # it when its average exceeds factor times that principal's. Principals
+    # it when its average exceeds FACTOR times that principal's. Principals
     # enter `children` in member order.
     parent: list[int] = []
     children: dict[int, list[int]] = {}
     for j, u in enumerate(up.tolist()):
         top = parent[u] if u >= 0 else -1
-        if top < 0 or avg[j] > factor * avg[top]:
+        if top < 0 or avg[j] > FACTOR * avg[top]:
             if top >= 0:
                 children[top].append(j)
             children[j] = []
@@ -143,7 +143,7 @@ def principal_sum_bound(
     avgs = stopping.member_averages
     maxavg = (geom.incidence * avgs[:, None]).max(axis=0)
     lhs = np.where(stopping.principal_mask, avgs**p, 0.0) @ geom.incidence
-    rhs = maxavg**p / (1.0 - 2.0**-p)
+    rhs = maxavg**p / (1.0 - FACTOR**-p)
     with np.errstate(divide="ignore", invalid="ignore"):
         pointwise = np.where(rhs > 0.0, lhs / rhs, 0.0)
     smass, _ = geom.masses(sigma)

@@ -6,17 +6,17 @@ anchored at the origin, and piecewise-constant densities on a uniform
 dyadic grid. Each class has one array kernel, `masses(levels, positions)`,
 that every mass in the package goes through; `mass` and `grid_masses` are
 one-line wrappers over it, and `product_masses` computes the masses of a
-product density from the kernels of its factors. Characteristic suprema are taken over
-declared finite dyadic test sets and the test set is recorded in every
-report, so reported values are exact maxima of what was actually scanned,
-never estimates of a continuous supremum. The Fujii-Wilson constant uses
-the depth-truncated dyadic maximal function and is therefore flagged as a
-lower estimate.
+product density from the kernels of its factors. Every subtree scan and
+grid reads `dyadic.scan_layout` and obeys its depth rule. Characteristic
+suprema are taken over declared finite, nonempty dyadic test sets and the
+test set is recorded in every report, so reported values are exact maxima
+of what was actually scanned, never estimates of a continuous supremum.
+The Fujii-Wilson constant uses the depth-truncated dyadic maximal function
+and is therefore flagged as a lower estimate.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -28,18 +28,13 @@ from .dyadic import (
     DyadicInterval,
     SparseFamily,
     family_geometry,
+    grid_arrays,
     interval_arrays,
-    subtree_arrays,
+    scan_layout,
     uniform_partition,
 )
 from .errors import DegenerateInstanceError, ParameterError
 from .functions import StepFunction
-
-
-def _grid(base: DyadicInterval, levels_down: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and positions of the 2^levels_down descendants of base, left to right."""
-    n = 1 << levels_down
-    return np.full(n, base.level + levels_down), (base.position << levels_down) + np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ class PowerWeight:
 
     def grid_masses(self, base: DyadicInterval, levels_down: int) -> np.ndarray:
         """Masses of the 2^levels_down descendants of base, left to right."""
-        return self.masses(*_grid(base, levels_down))
+        return self.masses(*grid_arrays(base, levels_down))
 
     def pow(self, exponent: float) -> "PowerWeight":
         return PowerWeight(self.beta * exponent, self.coeff**exponent)
@@ -157,7 +152,7 @@ class PiecewiseWeight:
 
     def grid_masses(self, base: DyadicInterval, levels_down: int) -> np.ndarray:
         """Masses of the 2^levels_down descendants of base, left to right."""
-        return self.masses(*_grid(base, levels_down))
+        return self.masses(*grid_arrays(base, levels_down))
 
     def pow(self, exponent: float) -> "PiecewiseWeight":
         if exponent < 0 and np.any(self.values == 0.0):
@@ -187,7 +182,7 @@ def product_masses(f: Weight, g: Weight, levels, positions) -> np.ndarray:
     if isinstance(f, PowerWeight) and isinstance(g, PowerWeight):
         return PowerWeight(f.beta + g.beta, f.coeff * g.coeff).masses(lvl, pos)
     cells = max(w.depth for w in (f, g) if isinstance(w, PiecewiseWeight))
-    grid = _grid(ROOT, cells)
+    grid = grid_arrays(ROOT, cells)
     tree = _pairwise_tree(np.ldexp(f.masses(*grid) * g.masses(*grid), 2 * cells), cells)
     out = _tree_masses(tree, cells, lvl, pos)
     fine = lvl > cells
@@ -241,52 +236,34 @@ def weighted_average(f, w: Weight, interval: DyadicInterval) -> float:
     return weighted_integral(f, w, interval) / denom
 
 
-@functools.lru_cache(maxsize=8)
-def _scan_layout(down: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The subtree `down` levels deep, deepest level first, left to right.
+def _ancestor_averages(w: Weight, top: DyadicInterval, depth: int):
+    """Subtree masses in `scan_layout` order and each depth atom's ancestor averages.
 
-    Returns, per entry, the levels k below the top and the position j
-    within that level, and the number 2^(down - k) of depth atoms the entry
-    covers. Level k starts at entry 2^(down+1) - 2^(k+1).
+    The masses come from one kernel call. Row i of the level-by-atom array
+    holds, per atom, the average of its ancestor i levels up.
     """
-    k = np.repeat(np.arange(down, -1, -1), 1 << np.arange(down, -1, -1))
-    j = np.arange(len(k)) - ((2 << down) - (2 << k))
-    layout = (k, j, 1 << (down - k))
-    for a in layout:
-        a.setflags(write=False)
-    return layout
-
-
-def _ancestor_averages(w: Weight, top: DyadicInterval, down: int):
-    """Subtree masses in `_scan_layout` order and each depth atom's ancestor averages.
-
-    The masses come from one kernel call. Row i of the (down + 1, 2^down)
-    array holds, per atom, the average of its ancestor i levels up.
-    """
-    k, j, cover = _scan_layout(down)
+    k, j, cover = scan_layout(top, depth)
     levels = top.level + k
     masses = w.masses(levels, (top.position << k) + j)
-    return masses, np.repeat(np.ldexp(masses, levels), cover).reshape(down + 1, -1)
+    return masses, np.repeat(np.ldexp(masses, levels), cover).reshape(-1, cover[-1])
 
 
 def dyadic_maximal(w: Weight, top: DyadicInterval, depth: int) -> StepFunction:
     """Maximal ancestor average max_{a <= Q' <= top} <w>_{Q'} per depth atom.
 
-    `depth` is absolute: atoms live at that level, so depth >= top.level.
-    The value on an atom is the largest entry of its column of the
-    level-by-atom array of ancestor averages.
+    `depth` is absolute: atoms live at that level. The value on an atom
+    is the largest entry of its column of the level-by-atom array of
+    ancestor averages.
     """
-    if depth < top.level:
-        raise ParameterError("maximal-function depth is coarser than the interval")
-    down = depth - top.level
-    _, averages = _ancestor_averages(w, top, down)
-    return StepFunction(uniform_partition(top, down), averages.max(axis=0), nonneg=True)
+    _, averages = _ancestor_averages(w, top, depth)
+    part = uniform_partition(top, depth - top.level)
+    return StepFunction(part, averages.max(axis=0), nonneg=True)
 
 
 @dataclass(frozen=True)
 class CharacteristicReport:
     value: float
-    attained_at: Optional[DyadicInterval]
+    attained_at: DyadicInterval
     test_set: str
     note: str = ""
 
@@ -306,10 +283,8 @@ def ainfty(w: Weight, root: DyadicInterval = ROOT, depth: int = 10) -> Character
     toward the deepest level and then the leftmost interval. The scan holds
     (depth - root.level + 1) * 2^(depth - root.level) floats.
     """
+    masses, running = _ancestor_averages(w, root, depth)
     down = depth - root.level
-    if down < 0:
-        raise ParameterError("depth is coarser than the root interval")
-    masses, running = _ancestor_averages(w, root, down)
     if masses[-1] <= 0.0:
         raise DegenerateInstanceError("weight has zero mass on the root")
     integrals = np.empty_like(masses)
@@ -326,10 +301,9 @@ def ainfty(w: Weight, root: DyadicInterval = ROOT, depth: int = 10) -> Character
     n = int(np.argmax(ratios))
     best_val, best_q = 1.0, root
     if ratios[n] > best_val:
-        k, j, _ = _scan_layout(down)
-        below, at = int(k[n]), int(j[n])
+        k, j, _ = scan_layout(root, depth)
         best_val = float(ratios[n])
-        best_q = DyadicInterval(root.level + below, (root.position << below) + at)
+        best_q = DyadicInterval(root.level + int(k[n]), (root.position << int(k[n])) + int(j[n]))
     return CharacteristicReport(
         value=best_val,
         attained_at=best_q,
@@ -374,12 +348,20 @@ class ExponentConfig:
 
 def _first_max(
     vals: np.ndarray, levels: np.ndarray, positions: np.ndarray
-) -> tuple[float, Optional[DyadicInterval]]:
-    """The largest value and the first interval attaining it; (-1, None) when empty."""
-    if not len(vals):
-        return -1.0, None
+) -> tuple[float, DyadicInterval]:
+    """The largest value and the first interval attaining it."""
     j = int(np.argmax(vals))
     return float(vals[j]), DyadicInterval(int(levels[j]), int(positions[j]))
+
+
+def _test_set_arrays(test_set) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and positions of a caller's test set; ParameterError when it is empty."""
+    if isinstance(test_set, SparseFamily):
+        return test_set.levels, test_set.positions
+    intervals = list(test_set)
+    if not intervals:
+        raise ParameterError("empty test set: a supremum needs at least one interval")
+    return interval_arrays(intervals)
 
 
 def two_weight_char(
@@ -416,7 +398,8 @@ def one_weight_apq(
 
     Default test set: every dyadic interval to the given depth (this
     includes the origin-anchored chain that drives all the power-weight
-    asymptotics in scope).
+    asymptotics in scope); ties go to the coarsest level, then the
+    leftmost interval. A caller's test set must not be empty.
     """
     if not p > 1.0:
         raise ParameterError("need p > 1")
@@ -429,10 +412,12 @@ def one_weight_apq(
                 f"power weight exponent {w.beta} not integrable for (p, q)=({p}, {q})"
             )
     if test_set is not None:
-        levels, positions = interval_arrays(list(test_set))
+        levels, positions = _test_set_arrays(test_set)
         descriptor = "caller-provided test set"
     else:
-        levels, positions = subtree_arrays(ROOT, depth)
+        k, j, _ = scan_layout(ROOT, depth)
+        coarse_first = np.argsort(k, kind="stable")  # the layout lists the deepest level first
+        levels, positions = k[coarse_first], j[coarse_first]
         descriptor = f"all dyadic intervals to depth {depth}"
     lengths = np.ldexp(1.0, -levels)
     vals = (wq.masses(levels, positions) / lengths) * (
@@ -448,11 +433,8 @@ def classical_ap(
     p: float,
     test_set: Union[SparseFamily, Iterable[DyadicInterval]],
 ) -> float:
-    """sup_Q |Q|^{-p} omega(Q) sigma(Q)^{p-1} over the given intervals."""
-    if isinstance(test_set, SparseFamily):
-        levels, positions = test_set.levels, test_set.positions
-    else:
-        levels, positions = interval_arrays(list(test_set))
+    """sup_Q |Q|^{-p} omega(Q) sigma(Q)^{p-1} over the given intervals, at least one."""
+    levels, positions = _test_set_arrays(test_set)
     vals = (
         np.ldexp(1.0, -levels) ** (-p)
         * omega.masses(levels, positions)

@@ -352,6 +352,18 @@ def test_members_deeper_than_level_62_are_parameter_errors(tmp_path, capsys):
     assert err["error"] == "parameter" and "[0/2^63, 1/2^63)" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["char", "opnorm"])
+@pytest.mark.parametrize("depth", [63, 64])
+def test_scan_depth_at_level_63_is_a_parameter_error(tmp_path, capsys, command, depth):
+    # both once died in np.repeat with exit 1
+    inst = write_instance(tmp_path, CHAIN_INSTANCE)
+    argv = [command, "--instance", inst, "--depth", str(depth), "--out", str(tmp_path)]
+    code, rep, err = run_cli(capsys, argv)
+    assert code == 3 and rep is None
+    assert err["error"] == "parameter"
+    assert err["message"] == f"depth {depth} puts intervals at level 63 or deeper"
+
+
 @pytest.mark.parametrize(
     "options",
     [

@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sparselab import (
+    LEBESGUE,
     ROOT,
     AtomPartition,
     DyadicInterval,
     ParameterError,
+    PiecewiseWeight,
     Relation,
     SparseFamily,
+    ainfty,
     atoms_of,
     carleson_constant,
     chain_family,
+    dyadic_maximal,
     make_instance,
+    one_weight_apq,
     packing_certified,
     relate,
     subdivide,
@@ -158,6 +163,54 @@ def test_huge_level_is_checked_without_building_its_power():
     assert peak < 1 << 20
     with pytest.raises(ParameterError, match="level 63 or deeper"):
         atoms_of(SparseFamily((ROOT, deep)))
+
+
+_STEPS = PiecewiseWeight(2, [1.0, 2.0, 3.0, 4.0])
+
+# every reader of the subtree layout, as a call at one depth below the root
+_LAYOUT_READERS = {
+    "uniform_partition": lambda d: uniform_partition(ROOT, d),
+    "subdivide": lambda d: subdivide(ROOT, d),
+    "power grid_masses": lambda d: LEBESGUE.grid_masses(ROOT, d),
+    "piecewise grid_masses": lambda d: _STEPS.grid_masses(ROOT, d),
+    "ainfty": lambda d: ainfty(_STEPS, depth=d),
+    "dyadic_maximal": lambda d: dyadic_maximal(LEBESGUE, ROOT, d),
+    "one_weight_apq": lambda d: one_weight_apq(_STEPS, 2.0, 2.0, depth=d),
+}
+
+
+@pytest.mark.parametrize(
+    "depth, reason", [(63, "level 63 or deeper"), (64, "level 63 or deeper"), (-1, "lies above")]
+)
+@pytest.mark.parametrize("reader", list(_LAYOUT_READERS))
+def test_depth_rule_raises_before_allocating(reader, depth, reason):
+    # level 63 once died in np.repeat, or built 2^63 intervals until memory ran out
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=reason):
+            _LAYOUT_READERS[reader](depth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_uniform_partitions_build_no_intervals_until_atoms_is_read():
+    part = uniform_partition(ROOT, 10)
+    assert part.locate(DyadicInterval(12, 2049)) == 512
+    assert "atoms" not in vars(part)
+    assert part.atoms[512] == DyadicInterval(10, 512)
+
+
+def test_depth_rule_counts_from_the_top_interval():
+    top = DyadicInterval(60, 5)
+    assert len(uniform_partition(top, 2)) == 4
+    with pytest.raises(ParameterError, match="depth 63 puts intervals at level 63 or deeper"):
+        uniform_partition(top, 3)
+    with pytest.raises(ParameterError, match=r"depth 59 lies above \[5/2\^60"):
+        ainfty(LEBESGUE, top, 59)
+    with pytest.raises(ParameterError, match="depth must be an integer"):
+        subdivide(ROOT, 1.5)
 
 
 def test_extra_depth_must_be_an_integer():

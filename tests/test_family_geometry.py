@@ -223,10 +223,10 @@ def _scans():
         yield scan
 
 
-def test_only_family_geometry_and_apply_sparse_build_geometries():
-    # apply_sparse aligns the family with the partition of its argument
+def test_only_family_geometry_builds_geometries():
+    # apply_sparse aligns the family with its argument's partition through atom_ranges
     builds = sorted(b for scan in _scans() for b in scan.builds)
-    assert builds == ["dyadic.family_geometry", "sparse.apply_sparse"]
+    assert builds == ["dyadic.family_geometry"]
 
 
 def test_no_geometry_passing_twins():

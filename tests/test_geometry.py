@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from sparselab import (
+    LEBESGUE,
     ROOT,
     AtomPartition,
     CubeObjective,
@@ -223,8 +224,9 @@ def test_outside_partition_names_an_unaligned_member(seed):
         atoms = [a for a in subdivide(ROOT, up.level + 1) if not up.encloses(a)]
         part = AtomPartition(ROOT, sorted(atoms + [up], key=lambda a: a.left))
         unaligned = next(q for q in family.members if q != up and up.encloses(q))
+        f = StepFunction(part, np.ones(len(part)), nonneg=True)
         with pytest.raises(ParameterError, match=re.escape(f"{unaligned} is not aligned")):
-            FamilyGeometry(family, part)
+            apply_sparse(family, ExponentConfig(2.0, 2.0, 1.0, 1.0), LEBESGUE, f)
 
 
 @pytest.mark.parametrize("suite", ["thm42", "lemma34", "lemma41", "thm11"])

@@ -641,8 +641,6 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         SharpnessConfig(2.0, 4.0, 0.75, "primal", eps_grid=(0.1, 0.2))
     with pytest.raises(ParameterError):
-        SharpnessConfig(2.0, 4.0, 0.75, "primal", k_factor=10.0)
-    with pytest.raises(ParameterError):
         SharpnessConfig(2.0, 4.0, 0.75, "dual", eps_grid=(0.5, 0.25))
     cfg = SharpnessConfig(2.0, 4.0, 0.75, "primal", eps_grid=(2.0**-4, 2.0**-5))
     assert cfg.k_of(2.0**-4) == 320

@@ -438,6 +438,17 @@ def test_one_weight_rejects_nonintegrable():
         one_weight_apq(PowerWeight(-0.5), 2.0, 2.0)
 
 
+def test_empty_test_sets_are_parameter_errors():
+    # both once returned -1.0, a value no supremum of these characteristics takes
+    for compute in (
+        lambda: one_weight_apq(LEBESGUE, 2.0, 2.0, test_set=[]),
+        lambda: classical_ap(LEBESGUE, LEBESGUE, 2.0, []),
+        lambda: classical_ap(LEBESGUE, LEBESGUE, 2.0, iter(())),
+    ):
+        with pytest.raises(ParameterError, match="empty test set"):
+            compute()
+
+
 def test_one_weight_scan_includes_chain():
     w = PowerWeight(0.25)
     scan = one_weight_apq(w, 2.0, 4.0, depth=6)
