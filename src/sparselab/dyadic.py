@@ -10,19 +10,20 @@ sum_{Q' subset Q} |Q'| <= |Q| / eta rather than by constructing disjoint
 major subsets; for the nested chain families used in the closed-form
 experiments the two notions coincide with eta = 1/2.
 
-`scan_layout` is the one enumeration of an interval's descendants; grids
-and uniform partitions read its first block, and its depth rule holds for
-every reader: a depth above the interval, or at level 63 or deeper, raises
-ParameterError before anything is allocated.
+`scan_layout` enumerates an interval's descendants and `grid_arrays` builds
+its first block alone. Both raise ParameterError at a depth above the
+interval or at level 63 or deeper, before allocating, and when their arrays
+are too large to allocate, naming the depth and the bytes asked for.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -108,6 +109,7 @@ class DyadicInterval:
 
 
 ROOT = DyadicInterval(0, 0)
+DEFAULT_DEPTH_CAP = 14  # the deepest default A_infty scan; layouts to this depth stay cached
 
 
 def relate(a: DyadicInterval, b: DyadicInterval) -> Relation:
@@ -126,36 +128,59 @@ def subdivide(interval: DyadicInterval, levels: int) -> list[DyadicInterval]:
     return list(uniform_partition(interval, levels).atoms)
 
 
+def _scan_depth(top: DyadicInterval, depth) -> int:
+    """The levels from top down to `depth`, after the depth rule of every scan and grid."""
+    depth = _integer(depth, "depth")
+    if depth < top.level:
+        raise ParameterError(f"depth {depth} lies above {top}")
+    if depth >= 63:
+        raise ParameterError(f"depth {depth} puts intervals at level 63 or deeper")
+    return depth - top.level
+
+
+@contextmanager
+def _allocating(depth: int, nbytes: int):
+    """Raises a MemoryError of the block as a ParameterError naming the depth and the bytes."""
+    try:
+        yield
+    except MemoryError:
+        raise ParameterError(
+            f"a scan to depth {depth} needs {nbytes:,} bytes, more than can be allocated"
+        ) from None
+
+
 def scan_layout(top: DyadicInterval, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Descendants of top down to level `depth`, deepest level first, left to right.
 
     Per entry: the levels k below top and the position j within that
     level, so the entry is (top.level + k, (top.position << k) + j), and
     the number 2^(depth - top.level - k) of level-`depth` intervals it
-    covers; the arrays are read-only and cached. A depth above top, or at
-    level 63 or deeper (heap codes leave int64), raises ParameterError
-    before anything is allocated.
+    covers. The arrays are read-only and cached when at most
+    DEFAULT_DEPTH_CAP levels deep; deeper ones are freed with the scan.
     """
-    depth = _integer(depth, "depth")
-    if depth < top.level:
-        raise ParameterError(f"depth {depth} lies above {top}")
-    if depth >= 63:
-        raise ParameterError(f"depth {depth} puts intervals at level 63 or deeper")
-    return _scan_layout(depth - top.level)
+    down = _scan_depth(top, depth)
+    if down <= DEFAULT_DEPTH_CAP:
+        return _cached_layout(down)
+    with _allocating(depth, 24 * ((2 << down) - 1)):
+        return _layout(down)
 
 
-@lru_cache(maxsize=8)
-def _scan_layout(down: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layout(down: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = np.repeat(np.arange(down, -1, -1), 1 << np.arange(down, -1, -1))
     j = np.arange(len(k)) - ((2 << down) - (2 << k))
     return tuple(map(_read_only, (k, j, 1 << (down - k))))
 
 
+_cached_layout = cache(_layout)
+
+
 def grid_arrays(top: DyadicInterval, down: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first block of `scan_layout`: top's descendants `down` levels below it, left to right."""
-    k, j, _ = scan_layout(top, top.level + down)
-    n = 1 << int(k[0])  # the deepest level comes first
-    return top.level + k[:n], (top.position << k[:n]) + j[:n]
+    """`scan_layout`'s first block, built alone: top's int64 descendants `down` levels below."""
+    down = _scan_depth(top, top.level + down)
+    n = 1 << down
+    with _allocating(top.level + down, 16 * n):
+        levels = np.full(n, top.level + down, dtype=np.int64)
+        return levels, (top.position << down) + np.arange(n, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -170,7 +195,7 @@ class SparseFamily:
     eta: float = 0.5
 
     def __post_init__(self):
-        members = tuple(sorted(set(self.members)))
+        members = tuple(sorted(set(self.members), key=lambda q: (q.level, q.position)))
         if not members:
             raise ParameterError("a sparse family needs at least one member")
         if not 0.0 < self.eta <= 1.0:
@@ -250,35 +275,18 @@ def packing_certified(family: SparseFamily, slack: float = 1e-12) -> bool:
 
 
 class AtomPartition:
-    """Ordered disjoint dyadic atoms covering a root interval.
+    """Ordered disjoint dyadic atoms covering a root interval, from int64 level and position arrays.
 
-    Atoms are the leaves of the member closure: the coarsest dyadic
-    partition of the root refined by every family-member boundary,
-    optionally refined a uniform number of extra levels. Because the atoms
-    are dyadic and ordered, every aligned dyadic interval corresponds to a
-    contiguous index range.
+    The atoms are the leaves of a family's member closure (`atoms_of`) or a
+    uniform grid (`uniform_partition`); their `atoms` tuple is built on first
+    use. Because the atoms are dyadic and ordered, every aligned dyadic
+    interval corresponds to a contiguous index range.
     """
 
-    def __init__(self, root: DyadicInterval, atoms: list[DyadicInterval]):
-        self._set_arrays(root, *interval_arrays(atoms))
-        self.atoms = tuple(atoms)
-
-    @classmethod
-    def from_arrays(
-        cls, root: DyadicInterval, levels: np.ndarray, positions: np.ndarray
-    ) -> "AtomPartition":
-        """The partition with these int64 atom levels and positions, in order.
-
-        The `atoms` tuple of intervals is built on first use.
-        """
-        part = cls.__new__(cls)
-        part._set_arrays(root, levels, positions)
-        return part
-
-    def _set_arrays(self, root: DyadicInterval, levels: np.ndarray, positions: np.ndarray):
+    def __init__(self, root: DyadicInterval, levels: np.ndarray, positions: np.ndarray):
         self.root = root
         self.levels, self.positions = levels, positions
-        self.finest_level = int(self.levels.max())
+        self.finest_level = int(levels.max())
 
     # atom endpoints as integer multiples of 2^-finest_level
     @cached_property
@@ -351,7 +359,7 @@ class AtomPartition:
         return idx
 
 
-def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
+def atoms_of(family: SparseFamily) -> AtomPartition:
     """Partition of the family root induced by member boundaries.
 
     A dyadic node below the root is split exactly when a member lies
@@ -362,14 +370,9 @@ def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
     one: each member's walk upward adds its ancestors to a set of split
     nodes and stops at the first one already there, so every split node is
     visited once, and a depth-first walk of the split nodes, left child
-    first, reads the atoms off left to right. The result is then uniformly
-    refined `extra_depth` more levels, an integer >= 0 (a bool is not one).
-    Members or atoms at level 63 or deeper raise ParameterError, as in
-    interval_arrays.
+    first, reads the atoms off left to right. Members at level 63 or
+    deeper raise ParameterError, as in interval_arrays.
     """
-    extra_depth = _integer(extra_depth, "extra_depth")
-    if extra_depth < 0:
-        raise ParameterError("extra_depth must be >= 0")
     root = family.root
     floor = 1 << root.level  # codes below it lie above the root
     split: set[int] = set()
@@ -385,17 +388,7 @@ def atoms_of(family: SparseFamily, extra_depth: int = 0) -> AtomPartition:
         else:
             cells.append(node)
     cell_level = np.array([c.bit_length() - 1 for c in cells], dtype=np.int64)
-    cell_pos = np.array(cells, dtype=np.int64) - (1 << cell_level)
-    if extra_depth:
-        deepest = int(cell_level.max()) + extra_depth
-        if deepest >= 63:
-            raise ParameterError(
-                f"extra_depth = {extra_depth} puts atoms at level {deepest}: level 63 or deeper"
-            )
-        k = 1 << extra_depth
-        cell_level = np.repeat(cell_level + extra_depth, k)
-        cell_pos = np.repeat(cell_pos << extra_depth, k) + np.tile(np.arange(k), len(cells))
-    return AtomPartition.from_arrays(root, cell_level, cell_pos)
+    return AtomPartition(root, cell_level, np.array(cells, dtype=np.int64) - (1 << cell_level))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -498,4 +491,4 @@ def family_geometry(family: SparseFamily) -> FamilyGeometry:
 
 def uniform_partition(interval: DyadicInterval, depth_below: int) -> AtomPartition:
     """Uniform partition of an interval into its depth-`depth_below` descendants, from arrays."""
-    return AtomPartition.from_arrays(interval, *grid_arrays(interval, depth_below))
+    return AtomPartition(interval, *grid_arrays(interval, depth_below))

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import DyadicInterval, SparseFamily, family_geometry
+from .dyadic import DyadicInterval, SparseFamily, _read_only, family_geometry
 from .functions import StepFunction
 from .sparse import _require_mass
 from .weights import Weight, product_masses, weighted_integral
@@ -33,19 +33,25 @@ class StoppingFamily:
 
     The construction works on member indices, in the family's member
     order: `member_averages` holds each member's sigma-average of f,
-    `principal_mask` marks the principals, `parent_index` gives each
-    member's minimal enclosing principal, and `child_index` maps each
-    principal's index to the indices of its stopping children. The
-    interval-keyed dicts `averages`, `parent` and `children` are views of
-    these, built on first use.
+    `parent_index` gives each member's minimal enclosing principal, and
+    `child_index` maps each principal's index to the indices of its
+    stopping children. The principals, the members that are their own
+    parent (`principals`, `principal_mask`), and the interval-keyed dicts
+    `averages`, `parent` and `children` are views built on first use.
     """
 
     family: SparseFamily
-    principals: tuple[DyadicInterval, ...]
     member_averages: np.ndarray
-    principal_mask: np.ndarray
     parent_index: np.ndarray
     child_index: dict
+
+    @cached_property
+    def principal_mask(self) -> np.ndarray:
+        return _read_only(self.parent_index == np.arange(len(self.parent_index)))
+
+    @cached_property
+    def principals(self) -> tuple[DyadicInterval, ...]:
+        return tuple(q for q, top in zip(self.family.members, self.principal_mask.tolist()) if top)
 
     @cached_property
     def averages(self) -> dict:
@@ -72,7 +78,6 @@ class StoppingFamily:
             return NotImplemented
         return (
             self.family == other.family
-            and self.principals == other.principals
             and np.array_equal(self.member_averages, other.member_averages)
             and np.array_equal(self.parent_index, other.parent_index)
             and self.child_index == other.child_index
@@ -115,16 +120,10 @@ def build_principal_cubes(family: SparseFamily, f, sigma: Weight) -> StoppingFam
             parent.append(j)
         else:
             parent.append(top)
-    parent_index = np.array(parent)
-    mask = parent_index == index
-    for arr in (avgs, mask, parent_index):
-        arr.setflags(write=False)
     return StoppingFamily(
         family=family,
-        principals=tuple(members[i] for i in children),
-        member_averages=avgs,
-        principal_mask=mask,
-        parent_index=parent_index,
+        member_averages=_read_only(avgs),
+        parent_index=_read_only(np.array(parent)),
         child_index={top: tuple(kids) for top, kids in children.items()},
     )
 

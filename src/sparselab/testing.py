@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .ascent import CubeObjective, maximize
-from .dyadic import DyadicInterval, FamilyGeometry, SparseFamily, family_geometry
+from .dyadic import DEFAULT_DEPTH_CAP, DyadicInterval, FamilyGeometry, SparseFamily, family_geometry
 from .errors import ParameterError
 from .sparse import _require_mass, estimate_opnorm, rhs_branch, theorem_rhs
 from .weights import (
@@ -406,7 +406,7 @@ def check_lemma43(
 
 def _default_depth(family: SparseFamily, *weights: Weight) -> int:
     depths = [w.depth for w in weights if isinstance(w, PiecewiseWeight)]
-    return min(max(6, family.max_level, *depths), 14)
+    return min(max(6, family.max_level, *depths), DEFAULT_DEPTH_CAP)
 
 
 def _characteristics(

@@ -6,13 +6,14 @@ anchored at the origin, and piecewise-constant densities on a uniform
 dyadic grid. Each class has one array kernel, `masses(levels, positions)`,
 that every mass in the package goes through; `mass` and `grid_masses` are
 one-line wrappers over it, and `product_masses` computes the masses of a
-product density from the kernels of its factors. Every subtree scan and
-grid reads `dyadic.scan_layout` and obeys its depth rule. Characteristic
-suprema are taken over declared finite, nonempty dyadic test sets and the
-test set is recorded in every report, so reported values are exact maxima
-of what was actually scanned, never estimates of a continuous supremum.
-The Fujii-Wilson constant uses the depth-truncated dyadic maximal function
-and is therefore flagged as a lower estimate.
+product density from the kernels of its factors. Every subtree scan reads
+`dyadic.scan_layout` and every grid `dyadic.grid_arrays`, under their one
+depth rule. Characteristic suprema are taken over declared finite,
+nonempty dyadic test sets and the test set is recorded in every report, so
+reported values are exact maxima of what was actually scanned, never
+estimates of a continuous supremum. The Fujii-Wilson constant uses the
+depth-truncated dyadic maximal function and is therefore flagged as a
+lower estimate.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .dyadic import (
     ROOT,
     DyadicInterval,
     SparseFamily,
+    _allocating,
     family_geometry,
     grid_arrays,
     interval_arrays,
@@ -237,15 +239,17 @@ def weighted_average(f, w: Weight, interval: DyadicInterval) -> float:
 
 
 def _ancestor_averages(w: Weight, top: DyadicInterval, depth: int):
-    """Subtree masses in `scan_layout` order and each depth atom's ancestor averages.
+    """top's `scan_layout`, the subtree masses in its order and each depth atom's ancestor averages.
 
     The masses come from one kernel call. Row i of the level-by-atom array
-    holds, per atom, the average of its ancestor i levels up.
+    holds, per atom, the average of its ancestor i levels up; an array too
+    large to allocate raises ParameterError, as the layout does.
     """
-    k, j, cover = scan_layout(top, depth)
+    k, j, cover = layout = scan_layout(top, depth)
     levels = top.level + k
     masses = w.masses(levels, (top.position << k) + j)
-    return masses, np.repeat(np.ldexp(masses, levels), cover).reshape(-1, cover[-1])
+    with _allocating(depth, 8 * (int(k[0]) + 1) * int(cover[-1])):  # k[0]: levels below top
+        return layout, masses, np.repeat(np.ldexp(masses, levels), cover).reshape(-1, cover[-1])
 
 
 def dyadic_maximal(w: Weight, top: DyadicInterval, depth: int) -> StepFunction:
@@ -255,7 +259,7 @@ def dyadic_maximal(w: Weight, top: DyadicInterval, depth: int) -> StepFunction:
     is the largest entry of its column of the level-by-atom array of
     ancestor averages.
     """
-    _, averages = _ancestor_averages(w, top, depth)
+    _, _, averages = _ancestor_averages(w, top, depth)
     part = uniform_partition(top, depth - top.level)
     return StepFunction(part, averages.max(axis=0), nonneg=True)
 
@@ -283,7 +287,7 @@ def ainfty(w: Weight, root: DyadicInterval = ROOT, depth: int = 10) -> Character
     toward the deepest level and then the leftmost interval. The scan holds
     (depth - root.level + 1) * 2^(depth - root.level) floats.
     """
-    masses, running = _ancestor_averages(w, root, depth)
+    (k, j, _), masses, running = _ancestor_averages(w, root, depth)
     down = depth - root.level
     if masses[-1] <= 0.0:
         raise DegenerateInstanceError("weight has zero mass on the root")
@@ -301,7 +305,6 @@ def ainfty(w: Weight, root: DyadicInterval = ROOT, depth: int = 10) -> Character
     n = int(np.argmax(ratios))
     best_val, best_q = 1.0, root
     if ratios[n] > best_val:
-        k, j, _ = scan_layout(root, depth)
         best_val = float(ratios[n])
         best_q = DyadicInterval(root.level + int(k[n]), (root.position << int(k[n])) + int(j[n]))
     return CharacteristicReport(

@@ -34,6 +34,7 @@ from sparselab import (
     subdivide,
     uniform_partition,
 )
+from sparselab.dyadic import interval_arrays
 from sparselab.instances import SUITES
 from sparselab.testing import _default_depth
 from sparselab.weights import _pairwise_tree, _tree_masses, product_masses
@@ -186,7 +187,7 @@ def _ref_product_masses(f, g, lvl, pos):
 
 def _assert_same_partition(got, top, down):
     atoms = [DyadicInterval(top.level + down, (top.position << down) + j) for j in range(1 << down)]
-    want = AtomPartition(top, atoms)
+    want = AtomPartition(top, *interval_arrays(atoms))
     for name in ("levels", "positions", "left_ticks", "right_ticks"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, top, down)

@@ -364,6 +364,17 @@ def test_scan_depth_at_level_63_is_a_parameter_error(tmp_path, capsys, command, 
     assert err["message"] == f"depth {depth} puts intervals at level 63 or deeper"
 
 
+@pytest.mark.parametrize("command", ["char", "opnorm"])
+def test_scan_too_large_to_allocate_is_a_parameter_error(tmp_path, capsys, command):
+    # 2^51 layout entries exceed any address space; numpy's MemoryError once ended in exit 1
+    inst = write_instance(tmp_path, CHAIN_INSTANCE)
+    argv = [command, "--instance", inst, "--depth", "50", "--out", str(tmp_path)]
+    code, rep, err = run_cli(capsys, argv)
+    assert code == 3 and rep is None
+    assert err["error"] == "parameter"
+    assert err["message"].startswith("a scan to depth 50 needs ")
+
+
 @pytest.mark.parametrize(
     "options",
     [

@@ -27,7 +27,8 @@ from sparselab import (
     subdivide,
     uniform_partition,
 )
-from sparselab.dyadic import interval_arrays
+from sparselab.dyadic import DEFAULT_DEPTH_CAP, interval_arrays, scan_layout
+from sparselab.testing import _default_depth
 
 intervals = st.integers(min_value=0, max_value=7).flatmap(
     lambda k: st.integers(min_value=0, max_value=(1 << k) - 1).map(
@@ -145,11 +146,6 @@ def test_levels_from_63_on_are_rejected():
             with pytest.raises(ParameterError, match="level 63 or deeper"):
                 compute(family)
     assert len(atoms_of(chain_family(62))) == 63
-    # refinement past level 62 is rejected too; level-64 atoms came back with negative ticks
-    for extra_depth in (3, 4):
-        with pytest.raises(ParameterError, match="level 63 or deeper"):
-            atoms_of(chain_family(60), extra_depth)
-    assert atoms_of(chain_family(60), 2).finest_level == 62
 
 
 def test_huge_level_is_checked_without_building_its_power():
@@ -195,6 +191,29 @@ def test_depth_rule_raises_before_allocating(reader, depth, reason):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("reader", list(_LAYOUT_READERS))
+def test_scan_too_large_to_allocate_is_a_parameter_error(reader):
+    # 2^50 or more entries exceed any address space, so the request fails
+    # before memory is touched; numpy's MemoryError once ended in a traceback
+    with pytest.raises(ParameterError, match=r"^a scan to depth 50 needs [\d,]+ bytes, more"):
+        _LAYOUT_READERS[reader](50)
+
+
+def test_layouts_deeper_than_the_default_cap_are_freed_with_their_scan():
+    # the cache once kept a depth-20 layout, 48 MiB, after the call returned
+    tracemalloc.start()
+    try:
+        ainfty(LEBESGUE, depth=20)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 1 << 20
+    assert scan_layout(ROOT, 6) is scan_layout(ROOT, 6)
+    assert scan_layout(ROOT, DEFAULT_DEPTH_CAP) is scan_layout(ROOT, DEFAULT_DEPTH_CAP)
+    assert scan_layout(ROOT, DEFAULT_DEPTH_CAP + 1) is not scan_layout(ROOT, DEFAULT_DEPTH_CAP + 1)
+    assert _default_depth(chain_family(DEFAULT_DEPTH_CAP + 5)) == DEFAULT_DEPTH_CAP
+
+
 def test_uniform_partitions_build_no_intervals_until_atoms_is_read():
     part = uniform_partition(ROOT, 10)
     assert part.locate(DyadicInterval(12, 2049)) == 512
@@ -211,13 +230,6 @@ def test_depth_rule_counts_from_the_top_interval():
         ainfty(LEBESGUE, top, 59)
     with pytest.raises(ParameterError, match="depth must be an integer"):
         subdivide(ROOT, 1.5)
-
-
-def test_extra_depth_must_be_an_integer():
-    for extra_depth in (1.5, True, -1):
-        with pytest.raises(ParameterError, match="extra_depth must"):
-            atoms_of(chain_family(2), extra_depth)
-    assert atoms_of(chain_family(2), np.int64(1)).atoms == atoms_of(chain_family(2), 1).atoms
 
 
 def test_family_dedup_and_root():
@@ -268,12 +280,7 @@ def test_locate_finds_containing_atom():
     assert part.atoms[idx].encloses(DyadicInterval(5, 0))
 
 
-def test_atoms_extra_depth():
-    part = atoms_of(chain_family(1), extra_depth=2)
-    assert len(part) == 8
-
-
-def _atoms_by_set_walk(family: SparseFamily, extra_depth: int = 0) -> list[DyadicInterval]:
+def _atoms_by_set_walk(family: SparseFamily) -> list[DyadicInterval]:
     """Reference atoms: walk each member's ancestors through a set of split nodes."""
     root = family.root
     split = set()
@@ -287,32 +294,7 @@ def _atoms_by_set_walk(family: SparseFamily, extra_depth: int = 0) -> list[Dyadi
     if not split:
         cells = {(root.level, root.position)}
     finest = max(lvl for lvl, _ in cells)
-    leaves = [
-        DyadicInterval(*c) for c in sorted(cells, key=lambda c: c[1] << (finest - c[0]))
-    ]
-    return [a for leaf in leaves for a in subdivide(leaf, extra_depth)]
-
-
-# atoms stay below level 63 (int64 positions) after two extra levels
-deep_intervals = st.integers(min_value=0, max_value=60).flatmap(
-    lambda k: st.integers(min_value=0, max_value=(1 << k) - 1).map(
-        lambda m: DyadicInterval(k, m)
-    )
-)
-
-
-@given(
-    st.lists(st.one_of(intervals, deep_intervals), min_size=1, max_size=12),
-    st.integers(min_value=0, max_value=2),
-)
-def test_atoms_of_matches_set_walk(members, extra_depth):
-    family = SparseFamily(tuple(members), eta=0.5)
-    ref = _atoms_by_set_walk(family, extra_depth)
-    part = atoms_of(family, extra_depth)
-    assert part.atoms == tuple(ref)
-    assert part.levels.tolist() == [a.level for a in ref]
-    assert part.positions.tolist() == [a.position for a in ref]
-    assert part.root == family.root
+    return [DyadicInterval(*c) for c in sorted(cells, key=lambda c: c[1] << (finest - c[0]))]
 
 
 # every level a member may have: heap codes fit in int64 below level 63
@@ -321,6 +303,17 @@ any_level_intervals = st.integers(min_value=0, max_value=62).flatmap(
         lambda m: DyadicInterval(k, m)
     )
 )
+
+
+@given(st.lists(st.one_of(intervals, any_level_intervals), min_size=1, max_size=12))
+def test_atoms_of_matches_set_walk(members):
+    family = SparseFamily(tuple(members), eta=0.5)
+    ref = _atoms_by_set_walk(family)
+    part = atoms_of(family)
+    assert part.atoms == tuple(ref)
+    assert part.levels.tolist() == [a.level for a in ref]
+    assert part.positions.tolist() == [a.position for a in ref]
+    assert part.root == family.root
 
 
 @given(st.lists(st.one_of(intervals, any_level_intervals), min_size=1, max_size=16))

@@ -115,7 +115,7 @@ def _suite_families(seed):
             yield make_instance(suite, seed, len(TRIALS) * n + i).family
 
 
-def _ref_atoms(family, extra_depth=0):
+def _ref_atoms(family):
     """Atom levels and positions by the former numpy pipeline (a reference only).
 
     Heap codes of every strict ancestor of every member, from repeat and
@@ -138,12 +138,7 @@ def _ref_atoms(family, extra_depth=0):
         cell_level = np.array([root.level], dtype=np.int64)
         cell_pos = np.array([root.position], dtype=np.int64)
     order = np.argsort(cell_pos << (cell_level.max() - cell_level))
-    cell_level, cell_pos = cell_level[order], cell_pos[order]
-    if extra_depth:
-        k = 1 << extra_depth
-        cell_level = np.repeat(cell_level + extra_depth, k)
-        cell_pos = np.repeat(cell_pos << extra_depth, k) + np.tile(np.arange(k), len(order))
-    return cell_level, cell_pos
+    return cell_level[order], cell_pos[order]
 
 
 def _ref_geometry(family):
@@ -196,16 +191,6 @@ def test_geometry_is_bitwise_the_former_numpy_pipeline():
     assert count == 2 * len(SUITES) * 60 + 63 + 300
 
 
-def test_refined_atoms_are_bitwise_the_former_numpy_pipeline():
-    rng = np.random.default_rng(7)
-    for n in range(300):
-        family = _random_deep_family(rng)
-        part = atoms_of(family, n % 3)
-        levels, positions = _ref_atoms(family, n % 3)
-        assert part.levels.dtype == levels.dtype and part.positions.dtype == positions.dtype
-        assert np.array_equal(part.levels, levels) and np.array_equal(part.positions, positions)
-
-
 @pytest.mark.parametrize("seed", [1, 7])
 def test_own_atom_ranges_match_atom_ranges(seed):
     for family in _suite_families(seed):
@@ -222,7 +207,7 @@ def test_outside_partition_names_an_unaligned_member(seed):
         # member's parent stays one atom; members inside it are unaligned
         up = family.members[-1].parent()
         atoms = [a for a in subdivide(ROOT, up.level + 1) if not up.encloses(a)]
-        part = AtomPartition(ROOT, sorted(atoms + [up], key=lambda a: a.left))
+        part = AtomPartition(ROOT, *interval_arrays(sorted(atoms + [up], key=lambda a: a.left)))
         unaligned = next(q for q in family.members if q != up and up.encloses(q))
         f = StepFunction(part, np.ones(len(part)), nonneg=True)
         with pytest.raises(ParameterError, match=re.escape(f"{unaligned} is not aligned")):
