@@ -67,7 +67,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, finite_nonnegative
 
 
 class _StepMaps(NamedTuple):
@@ -97,10 +97,8 @@ class CubeObjective:
             raise ParameterError("one incidence row per cube coefficient is required")
         # the step map and the Collatz-Wielandt bound assume nonnegative
         # coefficients and masses, and the compiled step bakes them in
-        coefs = ("gamma", "sigma_atom", "omega_atom")
-        if not _finite_nonnegative(np.concatenate([getattr(self, name) for name in coefs])):
-            name = next(name for name in coefs if not _finite_nonnegative(getattr(self, name)))
-            raise ParameterError(f"{name} must be finite and nonnegative")
+        for name in ("gamma", "sigma_atom", "omega_atom"):
+            finite_nonnegative(getattr(self, name), name)
         # s <= 1 stays legal for the value sweeps; maximize itself needs s > 1
         for name in ("e", "t", "s"):
             val = getattr(self, name)
@@ -229,11 +227,6 @@ class CubeObjective:
         """Both pieces without log J: which rows of f still move (residual > tol), and g."""
         grad, g = self._pullback(f, *self._forward(f))
         return np.maximum.reduce(np.abs(grad), axis=1) > tol, g
-
-
-def _finite_nonnegative(arr: np.ndarray) -> bool:
-    """Every entry finite and >= 0; NaN fails both comparisons."""
-    return arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf
 
 
 def _identity(x: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
+from .baselines import CANONICAL_SEED, CANONICAL_TRIALS
 from .baselines import check_window, load_baselines, save_baselines
 from .dyadic import DyadicInterval, SparseFamily, _packing, chain_family, interval_arrays
 from .errors import (
@@ -54,7 +55,8 @@ from .errors import (
     SparselabError,
 )
 from .instances import SUITES
-from .sharpness import SharpnessConfig, expected_slope, fit_slope, sweep
+from .sharpness import EPS_MAX_EXP, EPS_MIN_EXP, FIT_WINDOW, SharpnessConfig, _eps_grid
+from .sharpness import expected_slope, fit_slope, sweep
 from .suites import run_suite
 from .testing import _characteristics, check_prop31, check_thm11
 from .weights import ExponentConfig, PiecewiseWeight, PowerWeight, feasibility, one_weight_apq
@@ -427,12 +429,12 @@ def cmd_verify(args) -> _Artifact:
 def cmd_sharpness(args) -> _Artifact:
     if args.eps_min_exp > args.eps_max_exp:
         raise ParameterError("--eps-min-exp must not exceed --eps-max-exp")
-    grid = tuple(2.0**-k for k in range(args.eps_min_exp, args.eps_max_exp + 1))
+    grid = _eps_grid(args.eps_min_exp, args.eps_max_exp)
     config = SharpnessConfig(
         p=args.p, q=args.q, alpha=args.alpha, variant=args.variant, eps_grid=grid
     )
     rows = sweep(config)
-    fit = fit_slope(rows, window=min(4, len(rows)))
+    fit = fit_slope(rows, window=min(FIT_WINDOW, len(rows)))
     expected = expected_slope(args.p, args.q, args.alpha, args.variant)
     return _Artifact(
         {
@@ -488,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="seeded ratio suites against frozen baselines")
     sp.add_argument("--suite", required=True, choices=list(SUITES))
-    sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--seed", type=int, default=CANONICAL_SEED)
+    sp.add_argument("--trials", type=int, default=CANONICAL_TRIALS)
     sp.add_argument("--out", default=None)
     sp.add_argument(
         "--refresh-baselines",
@@ -503,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--eps-min-exp", type=int, default=4)
-    sp.add_argument("--eps-max-exp", type=int, default=12)
+    sp.add_argument("--eps-min-exp", type=int, default=EPS_MIN_EXP)
+    sp.add_argument("--eps-max-exp", type=int, default=EPS_MAX_EXP)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_sharpness)
     return parser

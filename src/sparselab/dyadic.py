@@ -270,8 +270,9 @@ def _containment(level: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return (down >= 0) & (pos >> np.maximum(down, 0) == pos[:, None])
 
 
-def packing_certified(family: SparseFamily, slack: float = 1e-12) -> bool:
-    return carleson_constant(family) <= 1.0 / family.eta + slack
+def packing_certified(family: SparseFamily) -> bool:
+    """Whether the family's Carleson constant is at most 1/eta, with slack 1e-12."""
+    return carleson_constant(family) <= 1.0 / family.eta + 1e-12
 
 
 class AtomPartition:

@@ -1,8 +1,10 @@
-"""Error taxonomy shared across the package.
+"""Error taxonomy shared across the package, and the one rule for nonnegative arrays.
 
 The CLI maps each class to a distinct exit code, so library code should
 raise the most specific class that applies.
 """
+
+import numpy as np
 
 
 class SparselabError(Exception):
@@ -23,6 +25,14 @@ class DegenerateInstanceError(SparselabError):
 
 class BaselineViolationError(SparselabError):
     """A verification suite produced ratios outside the frozen baselines."""
+
+
+def finite_nonnegative(values, name: str) -> np.ndarray:
+    """values as a float array; ParameterError naming the input if an entry is < 0, inf or NaN."""
+    arr = np.asarray(values, dtype=float)
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < np.inf):
+        raise ParameterError(f"{name} must be finite and nonnegative")
+    return arr
 
 
 # Exit codes used by the command line front end.

@@ -87,8 +87,9 @@ def random_family(rng: np.random.Generator) -> SparseFamily:
             return SparseFamily(tuple(members), eta=1.0 / packing)
 
 
-def random_weight(rng: np.random.Generator, depth: int = WEIGHT_DEPTH) -> PiecewiseWeight:
-    return PiecewiseWeight(depth, 10.0 ** rng.uniform(-2.0, 2.0, 1 << depth))
+def random_weight(rng: np.random.Generator) -> PiecewiseWeight:
+    """Piecewise weight at depth WEIGHT_DEPTH, log-uniform values in [1e-2, 1e2]."""
+    return PiecewiseWeight(WEIGHT_DEPTH, 10.0 ** rng.uniform(-2.0, 2.0, 1 << WEIGHT_DEPTH))
 
 
 def make_instance(suite: str, seed: int, index: int) -> RandomInstance:

@@ -577,16 +577,25 @@ def _line_defect(p: float, q: float, alpha: float) -> float:
 
 
 def _require_sobolev_line(p: float, q: float, alpha: float) -> None:
-    if not 1.0 < p <= q:
-        raise ParameterError("need 1 < p <= q")
-    if abs(_line_defect(p, q, alpha)) > 1e-12:
+    """Finite 1 < p <= q and alpha on the line to 1e-12; a NaN alpha fails the test."""
+    if not 1.0 < p <= q < math.inf:
+        raise ParameterError("need 1 < p <= q < inf")
+    if not abs(_line_defect(p, q, alpha)) <= 1e-12:
         raise ParameterError(
             "exponents must satisfy 1/q + 1/p' = alpha for the sharpness experiments"
         )
 
 
+# the default grid eps = 2^-4, ..., 2^-12; a slope is fitted over its 4 smallest eps
+EPS_MIN_EXP, EPS_MAX_EXP, FIT_WINDOW = 4, 12, 4
+
+
+def _eps_grid(lo: int, hi: int) -> tuple[float, ...]:
+    return tuple(2.0**-k for k in range(lo, hi + 1))
+
+
 def default_eps_grid() -> tuple[float, ...]:
-    return tuple(2.0**-k for k in range(4, 13))
+    return _eps_grid(EPS_MIN_EXP, EPS_MAX_EXP)
 
 
 @dataclass(frozen=True)
@@ -666,7 +675,7 @@ class SlopeFit:
     eps_window: tuple[float, ...]
 
 
-def fit_slope(rows: list[SweepRow], window: int = 4) -> SlopeFit:
+def fit_slope(rows: list[SweepRow], window: int = FIT_WINDOW) -> SlopeFit:
     """Least-squares slope of log(ratio) against log(characteristic).
 
     Uses the `window` rows of smallest eps (the grid is decreasing, so the

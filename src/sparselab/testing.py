@@ -18,7 +18,7 @@ import numpy as np
 
 from .ascent import CubeObjective, maximize
 from .dyadic import DEFAULT_DEPTH_CAP, DyadicInterval, FamilyGeometry, SparseFamily, family_geometry
-from .errors import ParameterError
+from .errors import ParameterError, finite_nonnegative
 from .sparse import _require_mass, estimate_opnorm, rhs_branch, theorem_rhs
 from .weights import (
     ExponentConfig,
@@ -200,7 +200,8 @@ def check_lemma32(
 
     I maximizes || sum c_Q (int_Q f dsigma)^r 1_Q ||_{L^{q/r}_omega} over
     ||f||_{L^p_sigma} <= 1; II the linearized form over ||g||_{L^{p/r}_sigma}
-    <= 1 with coefficients c_Q sigma(Q)^{r-1}. Requires 1 < r < p <= q.
+    <= 1 with coefficients c_Q sigma(Q)^{r-1}. Requires 1 < r < p <= q and
+    finite nonnegative coefficients.
     Side I runs `maximize` from `seed`, side II from `seed + 1`.
     When p = q each side runs one start and `certified_upper` holds the
     Collatz-Wielandt bounds on (lhs, rhs), entries None where a bound fails;
@@ -208,9 +209,7 @@ def check_lemma32(
     """
     if not (1.0 < cfg.r < cfg.p <= cfg.q):
         raise ParameterError("the two-supremum equivalence needs 1 < r < p <= q")
-    coefs = np.asarray(coefs, dtype=float)
-    if np.any(coefs < 0.0):
-        raise ParameterError("cube coefficients must be nonnegative")
+    coefs = finite_nonnegative(coefs, "cube coefficients")
     geom = family_geometry(family)
     om_atom, _ = geom.masses(omega)
     sig_atom, sig_q = geom.masses(sigma)
@@ -242,17 +241,15 @@ def check_lemma32(
 
 @dataclass(frozen=True, eq=False)
 class PositiveDyadicOperator:
-    """T(f) = sum_Q tau_Q <f>_Q 1_Q with nonnegative coefficients."""
+    """T(f) = sum_Q tau_Q <f>_Q 1_Q with finite nonnegative coefficients."""
 
     family: SparseFamily
     taus: np.ndarray
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
+        taus = finite_nonnegative(self.taus, "operator coefficients")
         if taus.shape != (len(self.family),):
             raise ParameterError("one tau per family member is required")
-        if np.any(taus < 0.0):
-            raise ParameterError("operator coefficients must be nonnegative")
         taus.setflags(write=False)
         object.__setattr__(self, "taus", taus)
 
@@ -286,15 +283,15 @@ def lsu_check(
     sigma: Weight,
     **solver,
 ) -> ComparabilityReport:
-    """Norm of the linear positive operator against its two testing sums.
+    """Norm of the linear positive operator against its two testing sums, at 1 < p <= q < inf.
 
     The norm is `maximize` with `solver` forwarded. When p = q one start
     runs and `certified_upper` bounds lhs from above; when p < q, or when
     the bound fails (for example a zero coefficient leaves g zero on some
     atoms), `restarts` seeded starts run and `certified_upper` is None.
     """
-    if not 1.0 < p <= q:
-        raise ParameterError("norm characterization needs 1 < p <= q")
+    if not 1.0 < p <= q < math.inf:
+        raise ParameterError("norm characterization needs 1 < p <= q < inf")
     geom = family_geometry(op.family)
     desc = f"positive operator on {len(op.family)} cubes, (p, q)=({p}, {q})"
     if not np.any(op.taus > 0.0):
@@ -320,18 +317,17 @@ def check_lemma41(
 
     rhs^p = sum_Q a_Q (<phi_Q>_Q^sigma)^{p-1} sigma(Q) with
     phi_Q = sum_{Q' <= Q} a_{Q'} 1_{Q'}. For p = 2 the bracket is exactly
-    two-sided: rhs <= lhs <= sqrt(2) rhs.
+    two-sided: rhs <= lhs <= sqrt(2) rhs. p must be finite and the
+    coefficients finite and nonnegative.
 
     Both sides are 1-homogeneous in the coefficients, so they are computed
     for the coefficients divided by their maximum and scaled back; the
     ratio comes from the normalized sides and cannot underflow or overflow
     at extreme coefficient scales.
     """
-    if not p > 1.0:
-        raise ParameterError("need p > 1")
-    coefs = np.asarray(coefs, dtype=float)
-    if np.any(coefs < 0.0):
-        raise ParameterError("coefficients must be nonnegative")
+    if not 1.0 < p < math.inf:
+        raise ParameterError("need 1 < p < inf")
+    coefs = finite_nonnegative(coefs, "coefficients")
     geom = family_geometry(family)
     sig_atom, sig_q = geom.masses(sigma)
     _require_mass(geom, sig_q, "sigma")
@@ -349,15 +345,14 @@ def check_lemma41(
 
 @dataclass(frozen=True)
 class MeasureEstimateQuery:
-    """Exponent triple (a, b, c) >= 0 with a + b + c >= 1."""
+    """Finite exponent triple (a, b, c) >= 0 with a + b + c >= 1."""
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) < 0.0:
-            raise ParameterError("exponents must be nonnegative")
+        finite_nonnegative((self.a, self.b, self.c), "exponents")
         if self.a + self.b + self.c < 1.0:
             raise ParameterError("exponents must sum to at least 1")
 
@@ -368,12 +363,12 @@ def check_lemma43(
     sigma: Weight,
     query: MeasureEstimateQuery,
     top: DyadicInterval,
-    ainfty_depth: Optional[int] = None,
 ) -> ComparabilityReport:
     """Packed sums of |Q|^a sigma(Q)^b omega(Q)^c against the local value.
 
     For a > 0 the reference is |R|^a sigma(R)^b omega(R)^c alone; for a = 0
-    the reference additionally carries the two Fujii-Wilson factors.
+    the reference additionally carries the two Fujii-Wilson factors, the
+    A_infty scans run to `_default_depth`.
     """
     i = bisect.bisect_left(family.members, top)  # members are sorted
     if family.members[i : i + 1] != (top,):
@@ -389,7 +384,7 @@ def check_lemma43(
     if query.a > 0.0:
         branch = "scale-positive: local value alone"
     else:
-        depth = ainfty_depth if ainfty_depth is not None else _default_depth(family, omega, sigma)
+        depth = _default_depth(family, omega, sigma)
         rhs *= (
             ainfty(sigma, depth=depth).value ** query.b
             * ainfty(omega, depth=depth).value ** query.c
@@ -432,15 +427,15 @@ def verify_thm42(
     cfg: ExponentConfig,
     omega: Weight,
     sigma: Weight,
-    ainfty_depth: Optional[int] = None,
 ) -> tuple[ComparabilityReport, Optional[ComparabilityReport]]:
     """Testing constants against their mixed-characteristic upper bounds.
 
     Each constant is compared with char^r times the appropriate product of
-    Fujii-Wilson factors; the exponent split is the diagonal fractional one
-    where `rhs_branch` is "diagonal-fractional" (p = q > r, alpha < 1).
+    Fujii-Wilson factors, the A_infty scans run to `_default_depth`; the
+    exponent split is the diagonal fractional one where `rhs_branch` is
+    "diagonal-fractional" (p = q > r, alpha < 1).
     """
-    _, char, a_sig, a_om = _characteristics(family, cfg, omega, sigma, ainfty_depth)
+    _, char, a_sig, a_om = _characteristics(family, cfg, omega, sigma)
     char, a_sig, a_om = char.value, a_sig.value, a_om.value
     desc = _describe(family, cfg)
 

@@ -35,13 +35,13 @@ from .dyadic import (
     scan_layout,
     uniform_partition,
 )
-from .errors import DegenerateInstanceError, ParameterError
+from .errors import DegenerateInstanceError, ParameterError, finite_nonnegative
 from .functions import StepFunction
 
 
 @dataclass(frozen=True)
 class PowerWeight:
-    """Density coeff * x^beta on [0, 1); beta > -1 keeps every mass finite."""
+    """Density coeff * x^beta on [0, 1); a finite beta > -1 keeps every mass finite."""
 
     beta: float
     coeff: float = 1.0
@@ -49,8 +49,10 @@ class PowerWeight:
     def __post_init__(self):
         if not self.beta > -1.0:
             raise ParameterError(f"power exponent must exceed -1, got {self.beta}")
-        if not self.coeff > 0.0:
-            raise ParameterError("power weight coefficient must be positive")
+        if self.beta == math.inf:
+            raise ParameterError("power exponent must be finite")
+        if not 0.0 < self.coeff < math.inf:
+            raise ParameterError(f"power coefficient must be finite and positive, got {self.coeff}")
 
     def masses(self, levels, positions) -> np.ndarray:
         """Masses of the dyadic intervals [m 2^-k, (m+1) 2^-k), elementwise."""
@@ -112,7 +114,7 @@ def _tree_masses(tree: np.ndarray, depth: int, lvl: np.ndarray, pos: np.ndarray)
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseWeight:
-    """Nonnegative density constant on each depth-`depth` atom of [0, 1).
+    """Finite nonnegative density constant on each depth-`depth` atom of [0, 1).
 
     The density sums of every dyadic node at or above the cell depth are
     summed once, pairwise, into a level-by-level tree: node (k, m) sits at
@@ -124,15 +126,13 @@ class PiecewiseWeight:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = finite_nonnegative(self.values, "weight densities")
         if self.depth < 0:
             raise ParameterError("piecewise depth must be >= 0")
         if vals.shape != (1 << self.depth,):
             raise ParameterError(
                 f"piecewise weight at depth {self.depth} needs {1 << self.depth} values"
             )
-        if np.any(vals < 0):
-            raise ParameterError("weight densities must be nonnegative")
         tree = _pairwise_tree(vals, self.depth)
         tree.setflags(write=False)
         object.__setattr__(self, "_tree", tree)
@@ -198,18 +198,12 @@ def _product_mass(f: Weight, g: Weight, interval: DyadicInterval) -> float:
     return float(product_masses(f, g, [interval.level], [interval.position])[0])
 
 
-def average(w, interval: DyadicInterval, base: Weight = LEBESGUE) -> float:
-    """Base-weighted average of w over the interval.
-
-    With the default Lebesgue base this is mass(w, I)/|I|; for a general
-    base it is the base-measure average of the density w.
-    """
-    denom = base.mass(interval)
+def average(w, interval: DyadicInterval) -> float:
+    """Lebesgue average mass(w, I)/|I| of w over the interval; `weighted_average` takes a base."""
+    denom = LEBESGUE.mass(interval)
     if denom <= 0.0:
         raise DegenerateInstanceError(f"zero base mass on {interval}")
-    if isinstance(base, PowerWeight) and base.beta == 0.0:
-        return w.mass(interval) / denom
-    return _product_mass(w, base, interval) / denom
+    return w.mass(interval) / denom
 
 
 def weighted_integral(f, w: Weight, interval: DyadicInterval) -> float:
@@ -317,7 +311,7 @@ def ainfty(w: Weight, root: DyadicInterval = ROOT, depth: int = 10) -> Character
 
 @dataclass(frozen=True)
 class ExponentConfig:
-    """Exponent tuple (p, q, r, alpha) with 1 < p <= q, r > 0, 0 < alpha <= 1."""
+    """Exponent tuple (p, q, r, alpha) with 1 < p <= q < inf, 0 < r < inf, 0 < alpha <= 1."""
 
     p: float
     q: float
@@ -325,10 +319,10 @@ class ExponentConfig:
     alpha: float
 
     def __post_init__(self):
-        if not 1.0 < self.p <= self.q:
-            raise ParameterError(f"need 1 < p <= q, got p={self.p}, q={self.q}")
-        if not self.r > 0.0:
-            raise ParameterError(f"need r > 0, got r={self.r}")
+        if not 1.0 < self.p <= self.q < math.inf:
+            raise ParameterError(f"need 1 < p <= q < inf, got p={self.p}, q={self.q}")
+        if not 0.0 < self.r < math.inf:
+            raise ParameterError(f"need 0 < r < inf, got r={self.r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ParameterError(f"need 0 < alpha <= 1, got alpha={self.alpha}")
 
@@ -456,12 +450,13 @@ class FeasibilityReport:
     diagnostic: str
 
 
-def feasibility(cfg: ExponentConfig, tol: float = 1e-12) -> FeasibilityReport:
-    """Whether the exponent region -alpha + 1/q + 1/p' >= 0 is met.
+def feasibility(cfg: ExponentConfig) -> FeasibilityReport:
+    """Whether the exponent region -alpha + 1/q + 1/p' >= 0 is met; every comparison has slack 1e-12.
 
     Also reports the Sobolev case (equality, alpha = 1 + 1/q - 1/p) and the
     admissible q-range [p, p/(p(alpha-1)+1)] when alpha > 1/p'.
     """
+    tol = 1e-12
     defect = -cfg.alpha + 1.0 / cfg.q + 1.0 / cfg.p_conj
     feasible = defect >= -tol
     sobolev = abs(defect) <= tol

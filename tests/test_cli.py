@@ -300,6 +300,33 @@ def test_parameter_error_infeasible_exponents(tmp_path, capsys):
     assert err["error"] == "parameter"
 
 
+@pytest.mark.parametrize("command", ["char", "opnorm"])
+@pytest.mark.parametrize("patch, code, field", [
+    # a density is a weight field, which the parser reports: exit 2
+    ({"omega": {"kind": "piecewise", "depth": 1, "values": [1.0, math.nan]}}, 2, "field omega"),
+    ({"sigma": {"kind": "power", "beta": math.inf}}, 2, "field sigma"),
+    # an exponent is a parameter, as an infeasible one is: exit 3
+    ({"exponents": {"p": 2, "q": math.inf, "r": 1, "alpha": 1}}, 3, "q=inf"),
+])
+def test_non_finite_inputs_exit_with_a_message_naming_the_field(
+    tmp_path, capsys, command, patch, code, field
+):
+    # json writes these as NaN and Infinity, which the loader reads back;
+    # a NaN omega density once gave char exit 0 and ainfty_omega = 1
+    inst = write_instance(tmp_path, dict(CHAIN_INSTANCE, **patch))
+    exit_code, report, err = run_cli(capsys, [command, "--instance", inst, "--out", str(tmp_path)])
+    assert exit_code == code and report is None
+    assert err["error"] == ("parse" if code == 2 else "parameter")
+    assert field in err["message"]
+
+
+def test_sharpness_rejects_an_infinite_exponent(tmp_path, capsys):
+    # q = inf passed the line test and the sweep crashed in the slope fit
+    argv = ["sharpness", "--variant", "primal", "--p", "2", "--q", "inf", "--alpha", "0.5"]
+    code, report, err = run_cli(capsys, argv + ["--out", str(tmp_path)])
+    assert code == 3 and report is None and err["error"] == "parameter"
+
+
 @pytest.mark.parametrize(
     "exponents,options",
     [

@@ -88,14 +88,12 @@ def test_solver_options_reach_maximize_unchanged(monkeypatch, name, solver):
 
 SOLVER_PARAMS = {"restarts", "max_iters", "tol"}
 # Every declaration of a parameter named like a solver option: maximize, the
-# one entry and the only one with defaults; its two internal steps, which
-# take maximize's values; and feasibility's exponent tolerance, which is
-# not a solver option.
+# one entry and the only one with defaults, and its two internal steps, which
+# take maximize's values.
 DECLARED = {
     "ascent.maximize": {"restarts", "max_iters", "tol"},
     "ascent._solve": {"max_iters", "tol"},
     "ascent.CubeObjective._step": {"tol"},
-    "weights.feasibility": {"tol"},
 }
 
 
@@ -125,7 +123,7 @@ def test_only_maximize_declares_the_solver_defaults():
         names = SOLVER_PARAMS & set(params)
         if names:
             found[qualname] = names
-        if qualname not in ("ascent.maximize", "weights.feasibility"):
+        if qualname != "ascent.maximize":
             defaults = {n for n in names if params[n].default is not inspect.Parameter.empty}
             assert not defaults, (qualname, defaults)
     assert found == DECLARED
