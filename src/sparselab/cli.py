@@ -41,7 +41,7 @@ from typing import Optional
 
 from .baselines import CANONICAL_SEED, CANONICAL_TRIALS
 from .baselines import check_window, load_baselines, save_baselines
-from .dyadic import DyadicInterval, SparseFamily, _packing, chain_family, interval_arrays
+from .dyadic import DyadicInterval, SparseFamily, _eta, _family_arrays, _packing, chain_family
 from .errors import (
     EXIT_BASELINE,
     EXIT_DEGENERATE,
@@ -136,6 +136,8 @@ def _parse_family(obj: dict, path: str) -> SparseFamily:
         try:
             return chain_family(depth)
         except SparselabError as err:
+            if depth >= 0:
+                raise  # a member at level 63 or deeper: a parameter error
             raise InstanceParseError(f"field {path}.depth: {err}") from err
     if kind == "members":
         raw = _get(obj, "intervals", path)
@@ -149,17 +151,20 @@ def _parse_family(obj: dict, path: str) -> SparseFamily:
             if not all(map(_is_int, pair)):
                 raise InstanceParseError(f"field {path}.intervals[{i}] must be two integers")
         try:
-            members = tuple(DyadicInterval(k, m) for k, m in raw)
+            for k, m in raw:
+                DyadicInterval(k, m)  # negative levels and positions outside the root
         except SparselabError as err:
             raise InstanceParseError(f"field {path}.intervals: {err}") from err
         if "eta" in obj:
-            eta = _num(obj, "eta", path)
-        else:
-            eta = 1.0 / _packing(*interval_arrays(sorted(set(members))))
-        try:
-            return SparseFamily(members, eta=eta)
-        except SparselabError as err:
-            raise InstanceParseError(f"field {path}: {err}") from err
+            try:
+                eta = _eta(_num(obj, "eta", path))
+            except ParameterError as err:
+                raise InstanceParseError(f"field {path}: {err}") from err
+        # members at level 63 or deeper are a parameter error, not a parse error
+        levels, positions = _family_arrays(*zip(*raw))
+        if "eta" not in obj:
+            eta = 1.0 / _packing(levels, positions)
+        return SparseFamily.from_arrays(levels, positions, eta)
     raise InstanceParseError(f"field {path}.kind must be 'chain' or 'members'")
 
 

@@ -5,6 +5,9 @@ at level k and position m denotes the half-open interval
 [m 2^-k, (m+1) 2^-k). Any two dyadic intervals are nested or disjoint,
 which is what makes exact evaluation on finite atom partitions possible.
 
+A sparse family is its sorted, unique int64 level and position arrays
+and its eta, built by `SparseFamily.from_arrays`, which holds every
+family rule; interval objects for its members are made only on request.
 Sparsity of a family is certified through the Carleson packing condition
 sum_{Q' subset Q} |Q'| <= |Q| / eta rather than by constructing disjoint
 major subsets; for the nested chain families used in the closed-form
@@ -183,57 +186,89 @@ def grid_arrays(top: DyadicInterval, down: int) -> tuple[np.ndarray, np.ndarray]
         return levels, (top.position << down) + np.arange(n, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SparseFamily:
     """A finite family of dyadic intervals with a declared sparsity constant.
 
-    Members are sorted by (level, position) and unique; `levels` and `positions`
-    are their read-only int64 arrays, built on first use by `interval_arrays`.
+    The family is its read-only int64 `levels` and `positions`, sorted by
+    (level, position) and unique, and its `eta`, all set by `from_arrays`,
+    which `SparseFamily(members, eta)` wraps; `members` is built on first use.
     """
 
-    members: tuple[DyadicInterval, ...]
-    eta: float = 0.5
+    levels: np.ndarray
+    positions: np.ndarray
+    eta: float
 
-    def __post_init__(self):
-        members = tuple(sorted(set(self.members), key=lambda q: (q.level, q.position)))
-        if not members:
-            raise ParameterError("a sparse family needs at least one member")
-        if not 0.0 < self.eta <= 1.0:
-            raise ParameterError(f"eta must lie in (0, 1], got {self.eta}")
-        object.__setattr__(self, "members", members)
+    def __init__(self, members, eta: float = 0.5):
+        members = tuple(members)
+        family = self.from_arrays([q.level for q in members], [q.position for q in members], eta)
+        vars(self).update(vars(family))
+
+    @classmethod
+    def from_arrays(cls, levels, positions, eta: float) -> "SparseFamily":
+        """The family of the intervals (levels[i], positions[i]), in any order and with repeats."""
+        family = object.__new__(cls)
+        levels, positions = _family_arrays(levels, positions)
+        vars(family).update(levels=levels, positions=positions, eta=_eta(eta))
+        return family
+
+    def _key(self) -> tuple:
+        return self.levels.tobytes(), self.positions.tobytes(), self.eta
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, SparseFamily) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.levels)
 
     def __iter__(self):
         return iter(self.members)
 
     @cached_property
-    def root(self) -> DyadicInterval:
-        """Minimal dyadic interval containing every member (computed once)."""
-        cur = self.members[0]
-        for m in self.members[1:]:
-            while not cur.encloses(m):
-                cur = cur.parent()
-        return cur
+    def members(self) -> tuple[DyadicInterval, ...]:
+        return tuple(map(DyadicInterval, self.levels.tolist(), self.positions.tolist()))
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(map(_read_only, interval_arrays(self.members)))
-
-    levels = property(lambda self: self._arrays[0])
-    positions = property(lambda self: self._arrays[1])
+    def root(self) -> DyadicInterval:
+        """The minimal dyadic interval containing every member, from its two outermost cells."""
+        shift = self.max_level - self.levels
+        left = int((self.positions << shift).min())
+        up = (left ^ int((((self.positions + 1) << shift) - 1).max())).bit_length()
+        return DyadicInterval(self.max_level - up, left >> up)
 
     @property
     def max_level(self) -> int:
-        return self.members[-1].level  # members are sorted by level
+        return int(self.levels[-1])  # sorted by level
+
+
+def _eta(eta: float) -> float:
+    """The declared sparsity constant, unchanged; ParameterError unless 0 < eta <= 1."""
+    if not 0.0 < eta <= 1.0:
+        raise ParameterError(f"eta must lie in (0, 1], got {eta}")
+    return eta
+
+
+def _family_arrays(levels, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `_int64_arrays` of the distinct intervals, sorted; ParameterError if there is none.
+
+    Heap codes 2^level + position sort in (level, position) order.
+    """
+    if len(levels) == 0:
+        raise ParameterError("a sparse family needs at least one member")
+    lv, pos = _int64_arrays(levels, positions)
+    _, first = np.unique((1 << lv) + pos, return_index=True)
+    return _read_only(lv[first]), _read_only(pos[first])
 
 
 def chain_family(depth: int) -> SparseFamily:
     """The nested chain {[0, 2^-k): 0 <= k <= depth}, declared 1/2-sparse."""
     if depth < 0:
         raise ParameterError("chain depth must be >= 0")
-    return SparseFamily(tuple(DyadicInterval(k, 0) for k in range(depth + 1)), eta=0.5)
+    levels = np.arange(min(depth, 63) + 1)  # a deeper chain fails at its level-63 member
+    return SparseFamily.from_arrays(levels, np.zeros_like(levels), 0.5)
 
 
 def carleson_constant(family: SparseFamily) -> float:
@@ -252,16 +287,28 @@ def _packing(level: np.ndarray, pos: np.ndarray) -> float:
 
 
 def interval_arrays(intervals) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 level and position arrays of a sequence of dyadic intervals.
+    """The int64 level and position arrays of a sequence of dyadic intervals, in order."""
+    return _int64_arrays([q.level for q in intervals], [q.position for q in intervals])
 
-    Heap codes 2^level + position must fit in int64, so every level must be
-    below 63; ParameterError names the first interval that is not.
+
+def _int64_arrays(levels, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and positions as int64 arrays, after the interval rules.
+
+    ParameterError names the first entry that is no interval (DyadicInterval's
+    messages) or lies at level 63 or deeper, where heap codes 2^level + position
+    overflow int64. Levels are checked before positions are converted.
     """
-    levels = np.array([q.level for q in intervals], dtype=np.int64)
-    deep = levels >= 63
-    if deep.any():
-        raise ParameterError(f"{intervals[int(np.argmax(deep))]} is at level 63 or deeper")
-    return levels, np.array([q.position for q in intervals], dtype=np.int64)
+    lv = np.asarray(levels, dtype=np.int64)
+    bad = (lv < 0) | (lv >= 63)
+    if not bad.any():
+        pos = np.asarray(positions, dtype=np.int64)
+        if pos.shape != lv.shape:
+            raise ParameterError("interval levels and positions must have one length")
+        bad = (pos < 0) | (pos >> lv != 0)
+    if bad.any():
+        k = int(np.argmax(bad))  # DyadicInterval raises unless its level is 63 or more
+        raise ParameterError(f"{DyadicInterval(levels[k], positions[k])} is at level 63 or deeper")
+    return lv, pos
 
 
 def _containment(level: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -371,8 +418,7 @@ def atoms_of(family: SparseFamily) -> AtomPartition:
     one: each member's walk upward adds its ancestors to a set of split
     nodes and stops at the first one already there, so every split node is
     visited once, and a depth-first walk of the split nodes, left child
-    first, reads the atoms off left to right. Members at level 63 or
-    deeper raise ParameterError, as in interval_arrays.
+    first, reads the atoms off left to right.
     """
     root = family.root
     floor = 1 << root.level  # codes below it lie above the root

@@ -1,4 +1,4 @@
-"""Error taxonomy shared across the package, and the one rule for nonnegative arrays.
+"""Error taxonomy shared across the package, and the rules for nonnegative arrays and exponents.
 
 The CLI maps each class to a distinct exit code, so library code should
 raise the most specific class that applies.
@@ -33,6 +33,12 @@ def finite_nonnegative(values, name: str) -> np.ndarray:
     if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < np.inf):
         raise ParameterError(f"{name} must be finite and nonnegative")
     return arr
+
+
+def finite_exponent(p: float) -> None:
+    """ParameterError unless 1 < p < inf, which a NaN fails."""
+    if not 1.0 < p < np.inf:
+        raise ParameterError("need 1 < p < inf")
 
 
 # Exit codes used by the command line front end.

@@ -83,8 +83,7 @@ def random_family(rng: np.random.Generator) -> SparseFamily:
         levels = np.repeat(np.arange(TREE_DEPTH + 1), [1] + [len(p) for p in picks])
         positions = np.concatenate([[0], *picks])  # member order: by level, then position
         if len(levels) >= 3 and (packing := _packing(levels, positions)) <= PACKING_CAP:
-            members = map(DyadicInterval, levels.tolist(), positions.tolist())
-            return SparseFamily(tuple(members), eta=1.0 / packing)
+            return SparseFamily.from_arrays(levels, positions, 1.0 / packing)
 
 
 def random_weight(rng: np.random.Generator) -> PiecewiseWeight:
@@ -118,7 +117,8 @@ def make_instance(suite: str, seed: int, index: int) -> RandomInstance:
         extras["coefs"] = 10.0 ** rng.uniform(-1.0, 1.0, len(family))
     elif suite == "lemma43":
         extras["query"] = MeasureEstimateQuery(*pick)
-        extras["top"] = family.members[int(rng.integers(len(family)))]
+        i = int(rng.integers(len(family)))
+        extras["top"] = DyadicInterval(int(family.levels[i]), int(family.positions[i]))
     elif suite == "principal":
         extras["p"] = pick
         kind = index % 3

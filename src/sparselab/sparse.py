@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascent import CubeObjective, maximize
-from .dyadic import AtomPartition, FamilyGeometry, SparseFamily, family_geometry
+from .dyadic import AtomPartition, DyadicInterval, FamilyGeometry, SparseFamily, family_geometry
 from .errors import DegenerateInstanceError, ParameterError
 from .functions import StepFunction
 from .weights import ExponentConfig, Weight
@@ -78,7 +78,8 @@ def _objective(
 def _require_mass(geom: FamilyGeometry, member_masses: np.ndarray, name: str) -> None:
     """Raise DegenerateInstanceError naming the weight and its first massless member."""
     if np.any(member_masses <= 0.0):
-        member = geom.family.members[int(np.argmax(member_masses <= 0.0))]
+        k = int(np.argmax(member_masses <= 0.0))
+        member = DyadicInterval(int(geom.levels[k]), int(geom.positions[k]))
         raise DegenerateInstanceError(f"{name} has zero mass on member {member}")
 
 

@@ -90,19 +90,18 @@ def build_principal_cubes(family: SparseFamily, f, sigma: Weight) -> StoppingFam
     f is a nonnegative Weight density or StepFunction; sigma must have
     positive mass on every member.
     """
-    members = family.members
     geom = family_geometry(family)
     _, sig_q = geom.masses(sigma)
     _require_mass(geom, sig_q, "sigma")
     if isinstance(f, StepFunction):
-        integrals = np.array([weighted_integral(f, sigma, q) for q in members])
+        integrals = np.array([weighted_integral(f, sigma, q) for q in family.members])
     else:
         integrals = product_masses(f, sigma, geom.levels, geom.positions)
     avgs = integrals / sig_q
     avg = avgs.tolist()
     # up[j]: the deepest member strictly enclosing member j, or -1. Members
     # are sorted by level, so each member's enclosing members come before it.
-    index = np.arange(len(members))
+    index = np.arange(len(family))
     up = np.where(np.triu(geom.contains, 1), index[:, None], -1).max(axis=0)
 
     # One pass in member order. The deepest principal strictly enclosing

@@ -9,7 +9,6 @@ frozen as regression baselines (see the baselines module).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,7 +17,7 @@ import numpy as np
 
 from .ascent import CubeObjective, maximize
 from .dyadic import DEFAULT_DEPTH_CAP, DyadicInterval, FamilyGeometry, SparseFamily, family_geometry
-from .errors import ParameterError, finite_nonnegative
+from .errors import ParameterError, finite_exponent, finite_nonnegative
 from .sparse import _require_mass, estimate_opnorm, rhs_branch, theorem_rhs
 from .weights import (
     ExponentConfig,
@@ -257,11 +256,13 @@ class PositiveDyadicOperator:
 def lsu_testing_sums(
     op: PositiveDyadicOperator, p: float, q: float, omega: Weight, sigma: Weight
 ) -> tuple[float, float]:
-    """The two localized testing suprema of the norm characterization.
+    """The two localized testing suprema of the norm characterization, at 1 < p <= q < inf.
 
     First: sup_R omega(R)^{-1/q'} || sum_{Q<=R} tau_Q <omega>_Q 1_Q ||_{L^{p'}_sigma}.
     Second: sup_R sigma(R)^{-1/p} || sum_{Q<=R} tau_Q <sigma>_Q 1_Q ||_{L^q_omega}.
     """
+    if not 1.0 < p <= q < math.inf:
+        raise ParameterError("norm characterization needs 1 < p <= q < inf")
     geom = family_geometry(op.family)
     om_atom, om_q = geom.masses(omega)
     sig_atom, sig_q = geom.masses(sigma)
@@ -290,8 +291,7 @@ def lsu_check(
     the bound fails (for example a zero coefficient leaves g zero on some
     atoms), `restarts` seeded starts run and `certified_upper` is None.
     """
-    if not 1.0 < p <= q < math.inf:
-        raise ParameterError("norm characterization needs 1 < p <= q < inf")
+    first, second = lsu_testing_sums(op, p, q, omega, sigma)  # and their exponent rule
     geom = family_geometry(op.family)
     desc = f"positive operator on {len(op.family)} cubes, (p, q)=({p}, {q})"
     if not np.any(op.taus > 0.0):
@@ -302,7 +302,6 @@ def lsu_check(
         e=1.0, t=q, s=p, outer=1.0,
     )
     res = maximize(obj, **solver)
-    first, second = lsu_testing_sums(op, p, q, omega, sigma)
     return _report(
         "lemma34", res.value, first + second, desc,
         converged=res.converged, residual=res.residual,
@@ -325,8 +324,7 @@ def check_lemma41(
     ratio comes from the normalized sides and cannot underflow or overflow
     at extreme coefficient scales.
     """
-    if not 1.0 < p < math.inf:
-        raise ParameterError("need 1 < p < inf")
+    finite_exponent(p)
     coefs = finite_nonnegative(coefs, "coefficients")
     geom = family_geometry(family)
     sig_atom, sig_q = geom.masses(sigma)
@@ -370,9 +368,10 @@ def check_lemma43(
     the reference additionally carries the two Fujii-Wilson factors, the
     A_infty scans run to `_default_depth`.
     """
-    i = bisect.bisect_left(family.members, top)  # members are sorted
-    if family.members[i : i + 1] != (top,):
+    at = np.flatnonzero((family.levels == top.level) & (family.positions == top.position))
+    if not at.size:
         raise ParameterError("reference interval must belong to the family")
+    i = int(at[0])
     geom = family_geometry(family)
     terms = (
         geom.lengths ** query.a

@@ -35,7 +35,7 @@ from .dyadic import (
     scan_layout,
     uniform_partition,
 )
-from .errors import DegenerateInstanceError, ParameterError, finite_nonnegative
+from .errors import DegenerateInstanceError, ParameterError, finite_exponent, finite_nonnegative
 from .functions import StepFunction
 
 
@@ -430,7 +430,8 @@ def classical_ap(
     p: float,
     test_set: Union[SparseFamily, Iterable[DyadicInterval]],
 ) -> float:
-    """sup_Q |Q|^{-p} omega(Q) sigma(Q)^{p-1} over the given intervals, at least one."""
+    """sup_Q |Q|^{-p} omega(Q) sigma(Q)^{p-1} over at least one given interval, at 1 < p < inf."""
+    finite_exponent(p)
     levels, positions = _test_set_arrays(test_set)
     vals = (
         np.ldexp(1.0, -levels) ** (-p)

@@ -252,12 +252,13 @@ def test_member_family_eta_is_its_packing_and_built_once(tmp_path, monkeypatch):
     payload = dict(CHAIN_INSTANCE, family={"kind": "members", "intervals": intervals})
     inst = write_instance(tmp_path, payload)
     built = []
+    from_arrays = SparseFamily.from_arrays
 
-    def counting(*args, **kwargs):
-        built.append(SparseFamily(*args, **kwargs))
+    def counting(*args):
+        built.append(from_arrays(*args))
         return built[-1]
 
-    monkeypatch.setattr("sparselab.cli.SparseFamily", counting)
+    monkeypatch.setattr(SparseFamily, "from_arrays", staticmethod(counting))
     family = load_instance(inst).family
     assert built == [family]
     assert family.members == tuple(sorted({DyadicInterval(k, m) for k, m in intervals}))
@@ -377,6 +378,35 @@ def test_members_deeper_than_level_62_are_parameter_errors(tmp_path, capsys):
         got, _, err = run_cli(capsys, ["opnorm", "--instance", inst, "--out", str(tmp_path)])
         assert got == code
     assert err["error"] == "parameter" and "[0/2^63, 1/2^63)" in err["message"]
+
+
+_DEEP = "[5/2^63, 6/2^63) is at level 63 or deeper"
+
+
+@pytest.mark.parametrize(
+    "family, code, message",
+    [
+        ({"kind": "members", "intervals": [[0, 0], [-1, 0]]}, 2,
+         "field family.intervals: interval level must be >= 0, got -1"),
+        ({"kind": "members", "intervals": [[0, 0], [2, 5]]}, 2,
+         "field family.intervals: position 5 outside the unit root at level 2"),
+        ({"kind": "members", "intervals": [[0, 0]], "eta": 2.0}, 2,
+         "field family: eta must lie in (0, 1], got 2.0"),
+        ({"kind": "members", "intervals": [[0, 0], [63, 5]], "eta": 2.0}, 2,
+         "field family: eta must lie in (0, 1], got 2.0"),
+        ({"kind": "members", "intervals": [[0, 0], [63, 5], [70, 1]]}, 3, _DEEP),
+        ({"kind": "members", "intervals": [[0, 0], [63, 5]], "eta": 0.5}, 3, _DEEP),
+        ({"kind": "chain", "depth": -1}, 2, "field family.depth: chain depth must be >= 0"),
+        ({"kind": "chain", "depth": 64}, 3, "[0/2^63, 1/2^63) is at level 63 or deeper"),
+    ],
+)
+def test_bad_families_keep_their_exit_codes_and_messages(tmp_path, capsys, family, code, message):
+    # interval and eta rules are parse errors; members at level 63 or deeper
+    # are parameter errors, though the family constructor checks both
+    inst = write_instance(tmp_path, dict(CHAIN_INSTANCE, family=family))
+    got, rep, err = run_cli(capsys, ["opnorm", "--instance", inst, "--out", str(tmp_path)])
+    assert (got, rep) == (code, None)
+    assert err == {"error": {2: "parse", 3: "parameter"}[code], "message": message}
 
 
 @pytest.mark.parametrize("command", ["char", "opnorm"])

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sparselab import (
     LEBESGUE,
@@ -139,12 +139,14 @@ def test_chain_family_and_carleson():
 
 
 def test_levels_from_63_on_are_rejected():
-    # a position at level 64 does not fit in int64; the level check comes first
-    deep = SparseFamily((ROOT, DyadicInterval(64, (1 << 64) - 1)))
-    for family in (chain_family(63), deep):
-        for compute in (carleson_constant, atoms_of):
-            with pytest.raises(ParameterError, match="level 63 or deeper"):
-                compute(family)
+    # a position at level 64 does not fit in int64; the level check comes
+    # first, and fires where the family is built, before any reader
+    for build in (
+        lambda: chain_family(63),
+        lambda: SparseFamily((ROOT, DyadicInterval(64, (1 << 64) - 1))),
+    ):
+        with pytest.raises(ParameterError, match="level 63 or deeper"):
+            build()
     assert len(atoms_of(chain_family(62))) == 63
 
 
@@ -329,10 +331,71 @@ def test_family_arrays_are_the_sorted_members(members):
     assert family.max_level == max(m.level for m in members)
 
 
+def _root_by_parent_walk(members):
+    """The former root: climb from the first sorted member until it encloses each other member."""
+    members = sorted(set(members))
+    cur = members[0]
+    for m in members[1:]:
+        while not cur.encloses(m):
+            cur = cur.parent()
+    return cur
+
+
+@given(st.lists(st.one_of(intervals, any_level_intervals), min_size=1, max_size=12))
+@example([DyadicInterval(2, 1), DyadicInterval(3, 0), DyadicInterval(3, 3)])
+def test_root_is_the_former_parent_walk(members):
+    # the first and last members alone would give (2, 1) for the example;
+    # its root is (1, 0), the common ancestor of the outermost cells
+    assert SparseFamily(members).root == _root_by_parent_walk(members)
+
+
+@given(st.lists(st.one_of(intervals, any_level_intervals), min_size=1, max_size=16), st.randoms())
+def test_from_arrays_is_the_family_of_its_members(members, rnd):
+    # any order and repeats: the array constructor and the member wrapper agree
+    members = members + members[: len(members) // 2]
+    rnd.shuffle(members)
+    levels = [q.level for q in members]
+    positions = [q.position for q in members]
+    for lv, pos in ((levels, positions), (np.array(levels), np.array(positions))):
+        family = SparseFamily.from_arrays(lv, pos, 0.25)
+        assert family == SparseFamily(members, eta=0.25)
+        assert hash(family) == hash(SparseFamily(members, eta=0.25))
+        assert family.members == tuple(sorted(set(members)))
+    assert SparseFamily.from_arrays(levels, positions, 0.5) != SparseFamily(members, eta=0.25)
+
+
+@pytest.mark.parametrize(
+    "levels, positions, eta, message",
+    [
+        ([], [], 0.5, "a sparse family needs at least one member"),
+        ([0, -1], [0, 0], 0.5, "interval level must be >= 0, got -1"),
+        ([0, 2], [0, 5], 0.5, "position 5 outside the unit root at level 2"),
+        ([0, 2], [0, -1], 0.5, "position -1 outside the unit root at level 2"),
+        ([0, 63], [0, 1], 0.5, r"\[1/2\^63, 2/2\^63\) is at level 63 or deeper"),
+        ([1, 70], [0, (1 << 70) - 1], 0.5, r"\[1180591620717411303423/2\^70, .* is at level 63"),
+        ([0, 1], [0, 1], 0.0, r"eta must lie in \(0, 1\], got 0.0"),
+        ([0, 1], [0, 1], 1.5, r"eta must lie in \(0, 1\], got 1.5"),
+        ([0, 1], [0, 1], float("nan"), r"eta must lie in \(0, 1\], got nan"),
+        ([0, 1], [0], 0.5, "interval levels and positions must have one length"),
+    ],
+)
+def test_invalid_arrays_raise_the_interval_messages(levels, positions, eta, message):
+    with pytest.raises(ParameterError, match=message):
+        SparseFamily.from_arrays(levels, positions, eta)
+
+
+def test_family_is_immutable():
+    with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        chain_family(3).eta = 1.0
+
+
 def test_deep_family_is_built_and_its_arrays_are_rejected():
-    # the level check fires where the arrays are read, not at construction
-    family = SparseFamily((ROOT, DyadicInterval(63, 5), DyadicInterval(70, 1)))
-    assert family.max_level == 70
-    for read in (lambda: family.levels, lambda: family.positions):
+    # the level check fires where the family builds its arrays, and names
+    # the first member at level 63 or deeper
+    members = (ROOT, DyadicInterval(63, 5), DyadicInterval(70, 1))
+    for build in (
+        lambda: SparseFamily(members),
+        lambda: SparseFamily.from_arrays([0, 63, 70], [0, 5, 1], 0.5),
+    ):
         with pytest.raises(ParameterError, match=r"\[5/2\^63, 6/2\^63\) is at level 63"):
-            read()
+            build()

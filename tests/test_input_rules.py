@@ -25,7 +25,9 @@ from sparselab import (
     chain_family,
     check_lemma32,
     check_lemma41,
+    classical_ap,
     lsu_check,
+    lsu_testing_sums,
 )
 
 BAD = [math.nan, math.inf, -math.inf, -1.0]
@@ -88,6 +90,13 @@ SCALAR_INPUTS = {
     "lsu_check.q": lambda bad: lsu_check(
         PositiveDyadicOperator(FAMILY, np.ones(3)), 2.0, bad, LEBESGUE, LEBESGUE,
     ),
+    "lsu_testing_sums.p": lambda bad: lsu_testing_sums(
+        PositiveDyadicOperator(FAMILY, np.ones(3)), bad, 4.0, LEBESGUE, LEBESGUE,
+    ),
+    "lsu_testing_sums.q": lambda bad: lsu_testing_sums(
+        PositiveDyadicOperator(FAMILY, np.ones(3)), 2.0, bad, LEBESGUE, LEBESGUE,
+    ),
+    "classical_ap.p": lambda bad: classical_ap(LEBESGUE, LEBESGUE, bad, FAMILY),
 }
 
 
@@ -99,3 +108,21 @@ def test_scalar_parameters_must_be_finite(which, bad):
     # slope fit, and check_lemma41 at p = inf a ratio of 1
     with pytest.raises(ParameterError):
         SCALAR_INPUTS[which](bad)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, math.inf), (0.5, 2.0), (1.0, 2.0), (3.0, 2.0)])
+def test_testing_sums_take_the_norm_characterization_exponents(p, q):
+    # at q = inf the sums were (nan, 2.0); at p = 0.5 a value with a RuntimeWarning
+    op = PositiveDyadicOperator(FAMILY, np.ones(3))
+    with pytest.raises(ParameterError, match=r"needs 1 < p <= q < inf"):
+        lsu_testing_sums(op, p, q, LEBESGUE, LEBESGUE)
+    with pytest.raises(ParameterError, match=r"needs 1 < p <= q < inf"):
+        lsu_check(op, p, q, LEBESGUE, LEBESGUE)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, 1.0, 0.5])
+def test_classical_ap_takes_a_finite_exponent_above_one(p):
+    # classical_ap(LEBESGUE, LEBESGUE, nan, chain_family(2)) was nan
+    with pytest.raises(ParameterError, match=r"^need 1 < p < inf$"):
+        classical_ap(LEBESGUE, LEBESGUE, p, FAMILY)
+    assert classical_ap(LEBESGUE, LEBESGUE, 2.0, FAMILY) == 1.0

@@ -7,17 +7,23 @@ from sparselab import (
     ComparabilityReport,
     DyadicInterval,
     ParameterError,
+    PositiveDyadicOperator,
     PowerWeight,
     ROOT,
     SparseFamily,
+    build_principal_cubes,
     carleson_constant,
+    check_lemma41,
+    check_lemma43,
+    estimate_opnorm,
+    lsu_check,
     make_instance,
     packing_certified,
     random_family,
     random_weight,
     run_suite,
+    verify_thm42,
 )
-from sparselab import instances
 from sparselab.instances import EXPONENT_MENUS, SUITES
 
 
@@ -85,15 +91,58 @@ def test_drawn_families_equal_the_families_of_their_members(seed):
 
 def test_random_family_builds_one_family_per_draw(monkeypatch):
     built = []
+    from_arrays = SparseFamily.from_arrays
 
-    def counting(*args, **kwargs):
-        built.append(SparseFamily(*args, **kwargs))
+    def counting(*args):
+        built.append(from_arrays(*args))
         return built[-1]
 
-    monkeypatch.setattr(instances, "SparseFamily", counting)
+    monkeypatch.setattr(SparseFamily, "from_arrays", staticmethod(counting))
     rng = np.random.default_rng(3)
     families = [random_family(rng) for _ in range(20)]
     assert built == families
+
+
+def test_drawing_instances_builds_no_interval_but_lemma43s_top(monkeypatch):
+    made = []
+    post_init = DyadicInterval.__post_init__
+
+    def counting(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DyadicInterval, "__post_init__", counting)
+    for suite in SUITES:
+        for index in range(12):
+            inst = make_instance(suite, 1, index)
+            assert made == ([inst.extras["top"]] if suite == "lemma43" else [])
+            made.clear()
+
+
+# one call per check that reads a family, with the suite whose instances it takes
+_FAMILY_READERS = [
+    ("thm11", lambda i: estimate_opnorm(i.family, i.cfg, i.omega, i.sigma, restarts=2)),
+    ("thm42", lambda i: verify_thm42(i.family, i.cfg, i.omega, i.sigma)),
+    ("lemma41", lambda i: check_lemma41(i.family, i.extras["coefs"], i.sigma, i.extras["p"])),
+    ("lemma34", lambda i: lsu_check(
+        PositiveDyadicOperator(i.family, i.extras["taus"]),
+        i.extras["p"], i.extras["q"], i.omega, i.sigma, restarts=2,
+    )),
+    ("lemma43", lambda i: check_lemma43(
+        i.family, i.omega, i.sigma, i.extras["query"], i.extras["top"],
+    )),
+    ("principal", lambda i: build_principal_cubes(i.family, PowerWeight(0.3), i.sigma)),
+    ("principal", lambda i: build_principal_cubes(i.family, i.omega, i.sigma)),
+]
+
+
+@pytest.mark.parametrize("suite, call", _FAMILY_READERS)
+def test_checks_leave_the_member_tuple_unbuilt(suite, call):
+    # every check reads the family's arrays; `members` is built only on request
+    for index in range(6):
+        inst = make_instance(suite, 3, index)
+        call(inst)
+        assert "members" not in vars(inst.family)
 
 
 def test_random_weight_range():
