@@ -6,6 +6,8 @@ exhibit the sharp growth exponents, all in exact dyadic arithmetic over
 finite interval families.
 """
 
+from types import ModuleType as _ModuleType
+
 from .ascent import AscentResult, CubeObjective, maximize
 from .dyadic import (
     ROOT,
@@ -90,83 +92,8 @@ from .weights import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AscentResult",
-    "AtomPartition",
-    "BaselineViolationError",
-    "CharacteristicReport",
-    "ComparabilityReport",
-    "CubeObjective",
-    "DegenerateInstanceError",
-    "DyadicInterval",
-    "FamilyGeometry",
-    "ExponentConfig",
-    "FeasibilityReport",
-    "InstanceParseError",
-    "LEBESGUE",
-    "MeasureEstimateQuery",
-    "OpNormEstimate",
-    "ParameterError",
-    "PiecewiseWeight",
-    "PositiveDyadicOperator",
-    "PowerWeight",
-    "ROOT",
-    "RandomInstance",
-    "Relation",
-    "SharpnessConfig",
-    "SlopeFit",
-    "SparseFamily",
-    "SparselabError",
-    "StepFunction",
-    "StoppingFamily",
-    "SuiteResult",
-    "SuiteRow",
-    "SweepRow",
-    "ainfty",
-    "apply_sparse",
-    "atoms_of",
-    "average",
-    "build_principal_cubes",
-    "carleson_constant",
-    "chain_family",
-    "check_lemma32",
-    "check_lemma41",
-    "check_lemma43",
-    "check_prop31",
-    "check_thm11",
-    "classical_ap",
-    "default_eps_grid",
-    "dual_quantities",
-    "dyadic_maximal",
-    "estimate_opnorm",
-    "expected_slope",
-    "feasibility",
-    "fit_slope",
-    "indicator_lower_bound",
-    "lp_norm",
-    "lsu_check",
-    "lsu_testing_sums",
-    "make_instance",
-    "maximize",
-    "one_weight_apq",
-    "oracle_opnorm",
-    "packing_certified",
-    "primal_quantities",
-    "principal_sum_bound",
-    "random_family",
-    "random_weight",
-    "rayleigh_objective",
-    "relate",
-    "rhs_branch",
-    "run_suite",
-    "subdivide",
-    "sweep",
-    "testing_T",
-    "testing_Tstar",
-    "theorem_rhs",
-    "two_weight_char",
-    "uniform_partition",
-    "verify_thm42",
-    "weighted_average",
-    "weighted_integral",
-]
+# every name imported above: the public API has one list, the imports
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -67,7 +67,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, finite_nonnegative
+from .errors import ParameterError, finite_nonnegative, integer
 
 
 class _StepMaps(NamedTuple):
@@ -336,8 +336,8 @@ def maximize(
     if not objective.s > 1.0:
         raise ParameterError(f"the fixed-point step needs s > 1, got {objective.s}")
     for name, val in (("restarts", restarts), ("max_iters", max_iters), ("seed", seed)):
-        if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 0:
-            raise ParameterError(f"{name} must be >= 0 and an integer, not a bool, got {val!r}")
+        if integer(val, name) < 0:
+            raise ParameterError(f"{name} must be >= 0, got {val!r}")
     real = not isinstance(tol, bool) and isinstance(tol, numbers.Real)
     if not (real and math.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be a finite positive real, not a bool, got {tol!r}")

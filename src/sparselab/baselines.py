@@ -9,6 +9,7 @@ constants into regression tests.
 
 from __future__ import annotations
 
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -36,8 +37,19 @@ def load_baselines(path: Path | None = None) -> dict[str, tuple[float, float]]:
         if len(parts) != 3:
             raise ParameterError(f"baseline line {lineno} is not 'suite lo hi'")
         suite, lo, hi = parts
-        windows[suite] = (float(lo), float(hi))
+        windows[suite] = _finite_window(lo, hi, f"baseline line {lineno}")
     return windows
+
+
+def _finite_window(lo, hi, where: str) -> tuple[float, float]:
+    """(lo, hi) as floats; ParameterError naming where unless both are finite and lo <= hi."""
+    try:
+        window = float(lo), float(hi)
+    except ValueError:  # a bound that is no number
+        window = math.nan, math.nan
+    if not -math.inf < window[0] <= window[1] < math.inf:
+        raise ParameterError(f"{where} needs finite bounds lo <= hi, got {lo} {hi}")
+    return window
 
 
 def save_baselines(
@@ -51,7 +63,7 @@ def save_baselines(
         "# suite ratio-min ratio-max",
     ]
     for suite in sorted(windows):
-        lo, hi = windows[suite]
+        lo, hi = _finite_window(*windows[suite], f"suite {suite!r} window")
         lines.append(f"{suite} {lo:.12g} {hi:.12g}")
     Path(path).write_text("\n".join(lines) + "\n")
     return Path(path)
@@ -72,7 +84,7 @@ def check_window(
         raise BaselineViolationError(
             f"suite {suite!r} has no frozen window; refresh the baselines first"
         )
-    lo, hi = baselines[suite]
+    lo, hi = _finite_window(*baselines[suite], f"suite {suite!r} window")
     omin, omax = window
     if omin < lo * (1.0 - HEADROOM) or omax > hi * (1.0 + HEADROOM):
         raise BaselineViolationError(

@@ -59,20 +59,20 @@ from .sharpness import EPS_MAX_EXP, EPS_MIN_EXP, FIT_WINDOW, SharpnessConfig, _e
 from .sharpness import expected_slope, fit_slope, sweep
 from .suites import run_suite
 from .testing import _characteristics, check_prop31, check_thm11
-from .weights import ExponentConfig, PiecewiseWeight, PowerWeight, feasibility, one_weight_apq
+from .weights import ExponentConfig, PiecewiseWeight, PowerWeight, Weight, feasibility, one_weight_apq
 
 
 # ---------------------------------------------------------------- instance IO
 
 
+@dataclass(frozen=True, eq=False)
 class ParsedInstance:
-    def __init__(self, raw, cfg, family, omega, sigma, options):
-        self.raw = raw
-        self.cfg = cfg
-        self.family = family
-        self.omega = omega
-        self.sigma = sigma
-        self.options = options
+    raw: dict
+    cfg: ExponentConfig
+    family: SparseFamily
+    omega: Weight
+    sigma: Weight
+    options: dict
 
 
 def _get(obj: dict, key: str, path: str):
@@ -399,7 +399,7 @@ def cmd_verify(args) -> _Artifact:
     if args.refresh_baselines:
         try:
             windows = load_baselines()
-        except (OSError, ParameterError):
+        except OSError:  # no file yet; a malformed one is a ParameterError, left as it is
             windows = {}
         windows[args.suite] = window
         save_baselines(windows)

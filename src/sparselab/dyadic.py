@@ -22,7 +22,6 @@ are too large to allocate, naming the depth and the bytes asked for.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -30,7 +29,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 
 class Relation(Enum):
@@ -40,19 +39,12 @@ class Relation(Enum):
     CONTAINS = "contains"  # first argument strictly contains the second
 
 
-def _integer(value, name: str) -> int:
-    """value as a Python int; ParameterError unless it is an integer and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer, not a bool, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True, order=True)
 class DyadicInterval:
     """Half-open interval [position * 2^-level, (position + 1) * 2^-level).
 
     Both fields are stored as Python ints; any other integer type is
-    converted, and a non-integer or a bool raises ParameterError.
+    converted, and a non-integer or a bool raises ParameterError (`errors.integer`).
     """
 
     level: int
@@ -60,8 +52,8 @@ class DyadicInterval:
 
     def __post_init__(self):
         if type(self.level) is not int or type(self.position) is not int:
-            object.__setattr__(self, "level", _integer(self.level, "interval level"))
-            object.__setattr__(self, "position", _integer(self.position, "interval position"))
+            object.__setattr__(self, "level", integer(self.level, "interval level"))
+            object.__setattr__(self, "position", integer(self.position, "interval position"))
         if self.level < 0:
             raise ParameterError(f"interval level must be >= 0, got {self.level}")
         # position < 2^level, tested without building 2^level (huge at a huge level)
@@ -117,13 +109,11 @@ DEFAULT_DEPTH_CAP = 14  # the deepest default A_infty scan; layouts to this dept
 
 def relate(a: DyadicInterval, b: DyadicInterval) -> Relation:
     """Set relation of the denoted intervals: nested, equal, or disjoint."""
-    if a.level == b.level:
-        return Relation.EQUAL if a.position == b.position else Relation.DISJOINT
-    if a.level > b.level:
-        inside = (a.position >> (a.level - b.level)) == b.position
-        return Relation.INSIDE if inside else Relation.DISJOINT
-    contains = (b.position >> (b.level - a.level)) == a.position
-    return Relation.CONTAINS if contains else Relation.DISJOINT
+    if a == b:
+        return Relation.EQUAL
+    if b.encloses(a):
+        return Relation.INSIDE
+    return Relation.CONTAINS if a.encloses(b) else Relation.DISJOINT
 
 
 def subdivide(interval: DyadicInterval, levels: int) -> list[DyadicInterval]:
@@ -133,7 +123,7 @@ def subdivide(interval: DyadicInterval, levels: int) -> list[DyadicInterval]:
 
 def _scan_depth(top: DyadicInterval, depth) -> int:
     """The levels from top down to `depth`, after the depth rule of every scan and grid."""
-    depth = _integer(depth, "depth")
+    depth = integer(depth, "depth")
     if depth < top.level:
         raise ParameterError(f"depth {depth} lies above {top}")
     if depth >= 63:
@@ -179,7 +169,7 @@ _cached_layout = cache(_layout)
 
 def grid_arrays(top: DyadicInterval, down: int) -> tuple[np.ndarray, np.ndarray]:
     """`scan_layout`'s first block, built alone: top's int64 descendants `down` levels below."""
-    down = _scan_depth(top, top.level + down)
+    down = _scan_depth(top, top.level + integer(down, "depth"))
     n = 1 << down
     with _allocating(top.level + down, 16 * n):
         levels = np.full(n, top.level + down, dtype=np.int64)
@@ -200,9 +190,7 @@ class SparseFamily:
     eta: float
 
     def __init__(self, members, eta: float = 0.5):
-        members = tuple(members)
-        family = self.from_arrays([q.level for q in members], [q.position for q in members], eta)
-        vars(self).update(vars(family))
+        vars(self).update(vars(self.from_arrays(*interval_arrays(tuple(members)), eta)))
 
     @classmethod
     def from_arrays(cls, levels, positions, eta: float) -> "SparseFamily":
@@ -265,7 +253,7 @@ def _family_arrays(levels, positions) -> tuple[np.ndarray, np.ndarray]:
 
 def chain_family(depth: int) -> SparseFamily:
     """The nested chain {[0, 2^-k): 0 <= k <= depth}, declared 1/2-sparse."""
-    if depth < 0:
+    if integer(depth, "chain depth") < 0:
         raise ParameterError("chain depth must be >= 0")
     levels = np.arange(min(depth, 63) + 1)  # a deeper chain fails at its level-63 member
     return SparseFamily.from_arrays(levels, np.zeros_like(levels), 0.5)
@@ -295,20 +283,33 @@ def _int64_arrays(levels, positions) -> tuple[np.ndarray, np.ndarray]:
     """Levels and positions as int64 arrays, after the interval rules.
 
     ParameterError names the first entry that is no interval (DyadicInterval's
-    messages) or lies at level 63 or deeper, where heap codes 2^level + position
-    overflow int64. Levels are checked before positions are converted.
+    messages, `errors.integer`'s for an entry that is no integer) or lies at
+    level 63 or deeper, where heap codes 2^level + position overflow int64.
     """
-    lv = np.asarray(levels, dtype=np.int64)
+    lv, pos = _int64(levels, "interval level"), _int64(positions, "interval position")
+    if pos.shape != lv.shape:
+        raise ParameterError("interval levels and positions must have one length")
     bad = (lv < 0) | (lv >= 63)
     if not bad.any():
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.shape != lv.shape:
-            raise ParameterError("interval levels and positions must have one length")
         bad = (pos < 0) | (pos >> lv != 0)
     if bad.any():
         k = int(np.argmax(bad))  # DyadicInterval raises unless its level is 63 or more
         raise ParameterError(f"{DyadicInterval(levels[k], positions[k])} is at level 63 or deeper")
     return lv, pos
+
+
+def _int64(values, name: str) -> np.ndarray:
+    """values as a 1-D int64 array, each entry under `errors.integer`, clipped to int64.
+
+    The interval rules reject a clipped entry, and a uint64 one that wraps negative, alike.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        return np.asarray(values, dtype=np.int64)
+    ints = [integer(v, name) for v in values]
+    try:
+        return np.asarray(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array([min(max(v, -(1 << 63)), (1 << 63) - 1) for v in ints], dtype=np.int64)
 
 
 def _containment(level: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Error taxonomy shared across the package, and the rules for nonnegative arrays and exponents.
+"""Error taxonomy shared across the package, and the rules for integers, arrays and exponents.
 
 The CLI maps each class to a distinct exit code, so library code should
 raise the most specific class that applies.
 """
+
+import numbers
 
 import numpy as np
 
@@ -25,6 +27,15 @@ class DegenerateInstanceError(SparselabError):
 
 class BaselineViolationError(SparselabError):
     """A verification suite produced ratios outside the frozen baselines."""
+
+
+def integer(value, name: str) -> int:
+    """value as a Python int; ParameterError naming the input unless it is an integer, not a bool."""
+    if type(value) is int:  # the common case, without the slower abstract-class check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, not a bool, got {value!r}")
+    return int(value)
 
 
 def finite_nonnegative(values, name: str) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicInterval, SparseFamily, _packing
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .testing import MeasureEstimateQuery
 from .weights import ExponentConfig, PiecewiseWeight, PowerWeight
 
@@ -72,10 +72,6 @@ class RandomInstance:
     extras: dict = field(default_factory=dict)
 
 
-def _instance_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
-
-
 def random_family(rng: np.random.Generator) -> SparseFamily:
     """Random subtree-free subset of the dyadic tree, packing-bounded, built once."""
     while True:
@@ -95,9 +91,10 @@ def make_instance(suite: str, seed: int, index: int) -> RandomInstance:
     """Deterministic instance `index` of the given suite and seed, both >= 0."""
     if suite not in EXPONENT_MENUS:
         raise ParameterError(f"unknown suite {suite!r}")
+    seed, index = integer(seed, "seed"), integer(index, "index")
     if seed < 0 or index < 0:
         raise ParameterError(f"seed and index must be >= 0, got {seed} and {index}")
-    rng = _instance_rng(seed, index)
+    rng = np.random.default_rng([seed, index])
     family = random_family(rng)
     omega = random_weight(rng)
     sigma = random_weight(rng)

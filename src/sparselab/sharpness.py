@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 _LN2 = math.log(2.0)
 
@@ -450,6 +450,7 @@ def primal_quantities(
     """
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
+    k_top = integer(k_top, "k_top")
     if k_top < 20.0 / eps:
         raise ParameterError("truncation depth below the declared tail rule")
     p_conj = p / (p - 1.0)
@@ -507,6 +508,7 @@ def dual_quantities(
         )
     if not eps > 0.0:
         raise ParameterError("eps must be positive")
+    k_top = integer(k_top, "k_top")
     if k_top < 20.0 / eps:
         raise ParameterError("truncation depth below the declared tail rule")
     p_conj = p / (p - 1.0)
@@ -681,7 +683,7 @@ def fit_slope(rows: list[SweepRow], window: int = FIT_WINDOW) -> SlopeFit:
     Uses the `window` rows of smallest eps (the grid is decreasing, so the
     last rows); needs at least 3 points.
     """
-    if window < 3 or len(rows) < window:
+    if integer(window, "fit window") < 3 or len(rows) < window:
         raise ParameterError("degenerate fit window; need at least 3 rows")
     tail_rows = rows[-window:]
     x = np.log([r.char for r in tail_rows])

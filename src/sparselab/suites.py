@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .baselines import CANONICAL_SEED, CANONICAL_TRIALS
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .instances import SUITES, RandomInstance, make_instance
 from .stopping import build_principal_cubes, principal_sum_bound
 from .testing import (
@@ -172,7 +172,7 @@ def run_suite(suite: str, seed: int = CANONICAL_SEED, trials: int = CANONICAL_TR
     """`trials` rows of the suite at the seed; the default is the baselines' canonical run."""
     if suite not in _RUNNERS:
         raise ParameterError(f"unknown suite {suite!r}")
-    if trials < 1:
+    if integer(trials, "trials") < 1:
         raise ParameterError("need at least one trial")
     runner = _RUNNERS[suite]
     rows: list[SuiteRow] = []

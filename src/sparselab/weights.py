@@ -36,6 +36,7 @@ from .dyadic import (
     uniform_partition,
 )
 from .errors import DegenerateInstanceError, ParameterError, finite_exponent, finite_nonnegative
+from .errors import integer
 from .functions import StepFunction
 
 
@@ -127,6 +128,7 @@ class PiecewiseWeight:
 
     def __post_init__(self):
         vals = finite_nonnegative(self.values, "weight densities")
+        object.__setattr__(self, "depth", integer(self.depth, "piecewise depth"))
         if self.depth < 0:
             raise ParameterError("piecewise depth must be >= 0")
         if vals.shape != (1 << self.depth,):
@@ -194,10 +196,6 @@ def product_masses(f: Weight, g: Weight, levels, positions) -> np.ndarray:
     return out
 
 
-def _product_mass(f: Weight, g: Weight, interval: DyadicInterval) -> float:
-    return float(product_masses(f, g, [interval.level], [interval.position])[0])
-
-
 def average(w, interval: DyadicInterval) -> float:
     """Lebesgue average mass(w, I)/|I| of w over the interval; `weighted_average` takes a base."""
     denom = LEBESGUE.mass(interval)
@@ -221,7 +219,7 @@ def weighted_integral(f, w: Weight, interval: DyadicInterval) -> float:
             return float(f.values[part.locate(interval)]) * w.mass(interval)
         atom_masses = w.masses(part.levels[i0:i1], part.positions[i0:i1])
         return math.fsum((f.values[i0:i1] * atom_masses).tolist())
-    return _product_mass(f, w, interval)
+    return float(product_masses(f, w, [interval.level], [interval.position])[0])
 
 
 def weighted_average(f, w: Weight, interval: DyadicInterval) -> float:
@@ -282,7 +280,7 @@ def ainfty(w: Weight, root: DyadicInterval = ROOT, depth: int = 10) -> Character
     (depth - root.level + 1) * 2^(depth - root.level) floats.
     """
     (k, j, _), masses, running = _ancestor_averages(w, root, depth)
-    down = depth - root.level
+    down = int(k[0])  # levels below root: the layout lists the deepest level first
     if masses[-1] <= 0.0:
         raise DegenerateInstanceError("weight has zero mass on the root")
     integrals = np.empty_like(masses)
@@ -294,7 +292,7 @@ def ainfty(w: Weight, root: DyadicInterval = ROOT, depth: int = 10) -> Character
             np.maximum(running[i - 1], running[i], out=running[i])
         start, end = end, end + (1 << (down - i))
         np.add.reduce(running[i].reshape(-1, 1 << i), axis=1, out=integrals[start:end])
-    integrals *= math.ldexp(1.0, -depth)
+    integrals *= math.ldexp(1.0, -(root.level + down))
     ratios = np.divide(integrals, masses, out=np.zeros_like(masses), where=masses > 0.0)
     n = int(np.argmax(ratios))
     best_val, best_q = 1.0, root
@@ -398,8 +396,7 @@ def one_weight_apq(
     asymptotics in scope); ties go to the coarsest level, then the
     leftmost interval. A caller's test set must not be empty.
     """
-    if not p > 1.0:
-        raise ParameterError("need p > 1")
+    finite_exponent(p)
     p_conj = p / (p - 1.0)
     wq = w.pow(q)
     wmp = w.pow(-p_conj)

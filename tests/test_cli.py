@@ -398,6 +398,9 @@ _DEEP = "[5/2^63, 6/2^63) is at level 63 or deeper"
         ({"kind": "members", "intervals": [[0, 0], [63, 5]], "eta": 0.5}, 3, _DEEP),
         ({"kind": "chain", "depth": -1}, 2, "field family.depth: chain depth must be >= 0"),
         ({"kind": "chain", "depth": 64}, 3, "[0/2^63, 1/2^63) is at level 63 or deeper"),
+        # a level of 2^70 once ended in numpy's OverflowError, exit 1
+        ({"kind": "members", "intervals": [[0, 0], [1 << 70, 0]]}, 3,
+         f"[0/2^{1 << 70}, 1/2^{1 << 70}) is at level 63 or deeper"),
     ],
 )
 def test_bad_families_keep_their_exit_codes_and_messages(tmp_path, capsys, family, code, message):

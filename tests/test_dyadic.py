@@ -19,6 +19,7 @@ from sparselab import (
     atoms_of,
     carleson_constant,
     chain_family,
+    classical_ap,
     dyadic_maximal,
     make_instance,
     one_weight_apq,
@@ -364,6 +365,9 @@ def test_from_arrays_is_the_family_of_its_members(members, rnd):
     assert SparseFamily.from_arrays(levels, positions, 0.5) != SparseFamily(members, eta=0.25)
 
 
+_2_70 = str(1 << 70)
+
+
 @pytest.mark.parametrize(
     "levels, positions, eta, message",
     [
@@ -377,11 +381,50 @@ def test_from_arrays_is_the_family_of_its_members(members, rnd):
         ([0, 1], [0, 1], 1.5, r"eta must lie in \(0, 1\], got 1.5"),
         ([0, 1], [0, 1], float("nan"), r"eta must lie in \(0, 1\], got nan"),
         ([0, 1], [0], 0.5, "interval levels and positions must have one length"),
+        # the integer rule, entry by entry; floats once truncated to [0, 1], a
+        # string level was accepted, and a 2-D pair raised an IndexError
+        ([0.0, 1.5], [0, 1], 0.5, "^interval level must be an integer, not a bool, got 0.0$"),
+        ([0, True], [0, 0], 0.5, "^interval level must be an integer, not a bool, got True$"),
+        ([0, 1], [0, False], 0.5, "^interval position must be an integer, not a bool, got False$"),
+        (np.array([False, True]), [0, 0], 0.5, "^interval level must be an integer, not a bool"),
+        ([0, 1], np.array([False, True]), 0.5, "^interval position must be an integer, not a bool"),
+        (["1"], [0], 0.5, "^interval level must be an integer, not a bool, got '1'$"),
+        ([[0, 1]], [[0, 0]], 0.5, r"^interval level must be an integer, not a bool, got \[0, 1\]$"),
+        (np.array([[0, 1]]), np.array([[0, 0]]), 0.5, "^interval level must be an integer"),
+        # past int64: the level-63 rule and DyadicInterval's, where numpy once
+        # raised an OverflowError
+        ([0, 1 << 70], [0, 0], 0.5, rf"^\[0/2\^{_2_70}, 1/2\^{_2_70}\) is at level 63 or deeper$"),
+        ([0, 71], [0, 1 << 70], 0.5, rf"^\[{_2_70}/2\^71, .*\) is at level 63 or deeper$"),
+        ([0, 1], [0, 1 << 70], 0.5, f"^position {_2_70} outside the unit root at level 1$"),
+        ([0, -(1 << 70)], [0, 0], 0.5, f"^interval level must be >= 0, got -{_2_70}$"),
+        (np.array([0, 1 << 63], dtype=np.uint64), [0, 0], 0.5, r"^\[0/2\^9223372036854775808, .* 63"),
     ],
 )
 def test_invalid_arrays_raise_the_interval_messages(levels, positions, eta, message):
     with pytest.raises(ParameterError, match=message):
         SparseFamily.from_arrays(levels, positions, eta)
+
+
+def test_integer_arrays_of_any_width_build_the_int64_family():
+    want = SparseFamily.from_arrays(np.array([2, 0, 1, 2]), np.array([3, 0, 1, 3]), 0.5)
+    for levels, positions in (
+        ([2, 0, 1, 2], [3, 0, 1, 3]),
+        (np.array([2, 0, 1, 2], dtype=np.int32), np.array([3, 0, 1, 3], dtype=np.uint8)),
+        (np.array([2, 0, 1, 2], dtype=np.uint8), np.array([3, 0, 1, 3], dtype=np.int32)),
+        ([np.int64(2), 0, np.uint8(1), 2], (3, np.int32(0), 1, 3)),
+    ):
+        family = SparseFamily.from_arrays(levels, positions, 0.5)
+        assert family == want and family.levels.dtype == np.int64
+        assert family.members == (ROOT, DyadicInterval(1, 1), DyadicInterval(2, 3))
+
+
+def test_a_member_past_int64_is_the_level_63_error():
+    # both once ended in numpy's OverflowError
+    deep = DyadicInterval(1 << 70, 0)
+    with pytest.raises(ParameterError, match=rf"^\[0/2\^{_2_70}, .* is at level 63 or deeper$"):
+        SparseFamily([deep])
+    with pytest.raises(ParameterError, match=rf"^\[0/2\^{_2_70}, .* is at level 63 or deeper$"):
+        classical_ap(LEBESGUE, LEBESGUE, 2.0, [ROOT, deep])
 
 
 def test_family_is_immutable():
